@@ -4,16 +4,10 @@
 //! degradation... attributed to the I/O").
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mw_framework::{MwDriver, MwPool, MwTask, WorkerCtx};
+use mw_framework::{MwPool, ThreadedBackend};
 use std::hint::black_box;
-
-struct NoopTask;
-impl MwTask for NoopTask {
-    type Output = u64;
-    fn execute(self, ctx: &WorkerCtx) -> u64 {
-        ctx.worker_id as u64
-    }
-}
+use stoch_eval::backend::{SamplingBackend, StreamJob};
+use stoch_eval::sampler::GaussianStream;
 
 fn bench_mw(c: &mut Criterion) {
     let pool = MwPool::new(4);
@@ -21,25 +15,19 @@ fn bench_mw(c: &mut Criterion) {
         b.iter(|| black_box(pool.call(|w| w + 1)))
     });
 
-    let driver = MwDriver::new(4, 1);
-    c.bench_function("driver_dispatch_all_23_tasks", |b| {
+    let backend = ThreadedBackend::new(4);
+    c.bench_function("threaded_extend_batch_23_jobs", |b| {
         // 23 = the d+3 workers of a 20-dimensional deployment.
         b.iter(|| {
-            let tasks: Vec<NoopTask> = (0..23).map(|_| NoopTask).collect();
-            black_box(driver.dispatch_all(tasks))
+            let jobs: Vec<StreamJob<GaussianStream>> = (0..23)
+                .map(|i| StreamJob {
+                    slot: i,
+                    dt: 1.0,
+                    stream: GaussianStream::new(0.0, 1.0, i as u64),
+                })
+                .collect();
+            black_box(backend.extend_batch(jobs))
         })
-    });
-
-    let driver_ns = MwDriver::new(2, 6);
-    struct ClientTask;
-    impl MwTask for ClientTask {
-        type Output = usize;
-        fn execute(self, ctx: &WorkerCtx) -> usize {
-            ctx.run_clients(|i| i).into_iter().sum()
-        }
-    }
-    c.bench_function("server_client_fanout_ns6", |b| {
-        b.iter(|| black_box(driver_ns.dispatch_all(vec![ClientTask])))
     });
 }
 

@@ -4,17 +4,15 @@
 //!
 //! For each system size the harness builds a liquid-density TIP4P box,
 //! verifies that every production kernel (scalar cell-list, lane-batched
-//! `simd`, worker-pool `sharded`) reproduces the naive forces/energy/virial
-//! to 1e-10 relative (both on the fresh configuration and after a short
-//! trajectory that exercises stale-list reuse), checks that sharded results
-//! are bit-identical across 1/2/4 workers, then times an MD run per kernel
-//! and reports ns/step, the measured speedups, rebuild counts, and neighbor
-//! statistics.
+//! `simd`) reproduces the naive forces/energy/virial to 1e-10 relative
+//! (both on the fresh configuration and after a short trajectory that
+//! exercises stale-list reuse), then times an MD run per kernel and reports
+//! ns/step, the measured speedups, rebuild counts, and neighbor statistics.
 //!
-//! Writes `BENCH_water.json`. Exits non-zero if any kernel disagrees with
-//! the oracle, if sharded results depend on the worker count, if the cell
-//! list fails to beat the naive kernel at n = 256, or if the simd kernel
-//! fails to beat the cell list at n = 512.
+//! Writes `BENCH_water.json` (with the host's `hardware_threads`). Exits
+//! non-zero if any kernel disagrees with the oracle, if the cell list fails
+//! to beat the naive kernel at n = 256, or if the simd kernel fails to beat
+//! the cell list at n = 512.
 //!
 //! ```text
 //! cargo run --release --bin water_kernel_bench -- [--smoke] [--out <path>]
@@ -80,28 +78,6 @@ fn equivalence_err(kernel: ForceKernel, sys0: &System, rc: f64, steps: u64) -> f
     worst.max(max_rel_err(&f, &compute_forces(&sys, rc)))
 }
 
-/// Sharded results must not depend on the worker count: evaluate the fresh
-/// configuration under 1, 2, and 4 workers and demand bitwise equality.
-fn sharded_is_worker_invariant(sys: &System, rc: f64) -> bool {
-    let mut reference: Option<Forces> = None;
-    for workers in [1usize, 2, 4] {
-        let mut engine = ForceEngine::with_sharding(DEFAULT_SKIN, 8, workers);
-        let out = engine.compute(sys, rc);
-        match &reference {
-            None => reference = Some(out),
-            Some(r) => {
-                if r.potential.to_bits() != out.potential.to_bits()
-                    || r.virial.to_bits() != out.virial.to_bits()
-                    || r.f != out.f
-                {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 struct SizeResult {
     n: usize,
     rc: f64,
@@ -109,15 +85,12 @@ struct SizeResult {
     naive_ns_per_step: f64,
     cell_ns_per_step: f64,
     simd_ns_per_step: f64,
-    sharded_ns_per_step: f64,
     cell_speedup_vs_naive: f64,
     simd_speedup_vs_cell: f64,
     rebuilds: u64,
     avg_neighbors: f64,
     cell_max_rel_err: f64,
     simd_max_rel_err: f64,
-    sharded_max_rel_err: f64,
-    sharded_worker_invariant: bool,
 }
 
 impl SizeResult {
@@ -125,34 +98,32 @@ impl SizeResult {
         format!(
             "  {{\n    \"n\": {},\n    \"rc\": {:.3},\n    \"box_len\": {:.3},\n    \
              \"naive_ns_per_step\": {:.1},\n    \"cell_ns_per_step\": {:.1},\n    \
-             \"simd_ns_per_step\": {:.1},\n    \"sharded_ns_per_step\": {:.1},\n    \
+             \"simd_ns_per_step\": {:.1},\n    \
              \"cell_speedup_vs_naive\": {:.3},\n    \"simd_speedup_vs_cell\": {:.3},\n    \
              \"rebuilds\": {},\n    \"avg_neighbors\": {:.2},\n    \
-             \"cell_max_rel_err\": {:.3e},\n    \"simd_max_rel_err\": {:.3e},\n    \
-             \"sharded_max_rel_err\": {:.3e},\n    \"sharded_worker_invariant\": {}\n  }}",
+             \"cell_max_rel_err\": {:.3e},\n    \"simd_max_rel_err\": {:.3e}\n  }}",
             self.n,
             self.rc,
             self.box_len,
             self.naive_ns_per_step,
             self.cell_ns_per_step,
             self.simd_ns_per_step,
-            self.sharded_ns_per_step,
             self.cell_speedup_vs_naive,
             self.simd_speedup_vs_cell,
             self.rebuilds,
             self.avg_neighbors,
             self.cell_max_rel_err,
             self.simd_max_rel_err,
-            self.sharded_max_rel_err,
-            self.sharded_worker_invariant,
         )
     }
 }
 
 fn report_json(steps: u64, results: &[SizeResult]) -> String {
     let sizes: Vec<String> = results.iter().map(SizeResult::to_json).collect();
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     format!(
-        "{{\n  \"density_g_cm3\": {DENSITY},\n  \"temperature_k\": {TEMPERATURE},\n  \
+        "{{\n  \"hardware_threads\": {hardware_threads},\n  \
+         \"density_g_cm3\": {DENSITY},\n  \"temperature_k\": {TEMPERATURE},\n  \
          \"skin\": {DEFAULT_SKIN},\n  \"dt_fs\": {DT_FS},\n  \"steps\": {steps},\n  \
          \"sizes\": [\n{}\n  ]\n}}\n",
         sizes.join(",\n")
@@ -196,7 +167,7 @@ fn main() {
         (&[64, 256, 512, 1024, 2048], 300)
     };
 
-    println!("water kernel bench: naive O(n\u{b2}) vs cell vs simd vs sharded (DESIGN.md \u{a7}10, \u{a7}15)");
+    println!("water kernel bench: naive O(n\u{b2}) vs cell vs simd (DESIGN.md \u{a7}10, \u{a7}15)");
     let mut results = Vec::with_capacity(sizes.len());
     for &n in sizes {
         let lattice = System::lattice_count(TIP4P, n, DENSITY, TEMPERATURE, 2_000 + n as u64);
@@ -220,8 +191,6 @@ fn main() {
         };
         let cell_err = equivalence_err(ForceKernel::CellList, &sys, rc, steps.min(50));
         let simd_err = equivalence_err(ForceKernel::Simd, &sys, rc, steps.min(50));
-        let sharded_err = equivalence_err(ForceKernel::Sharded, &sys, rc, steps.min(50));
-        let invariant = sharded_is_worker_invariant(&sys, rc);
         // Best of three timed runs per kernel: the short smoke runs are
         // only a few ms, and shared-machine scheduler blips of ±15% per
         // run are routine — the minimum is the estimator least distorted
@@ -242,7 +211,6 @@ fn main() {
         let (naive_ns, _, _) = best(ForceKernel::Naive, naive_steps);
         let (cell_ns, rebuilds, avg_neighbors) = best(ForceKernel::CellList, steps);
         let (simd_ns, _, _) = best(ForceKernel::Simd, steps);
-        let (sharded_ns, _, _) = best(ForceKernel::Sharded, steps);
         let r = SizeResult {
             n,
             rc,
@@ -250,33 +218,27 @@ fn main() {
             naive_ns_per_step: naive_ns,
             cell_ns_per_step: cell_ns,
             simd_ns_per_step: simd_ns,
-            sharded_ns_per_step: sharded_ns,
             cell_speedup_vs_naive: naive_ns / cell_ns.max(1.0),
             simd_speedup_vs_cell: cell_ns / simd_ns.max(1.0),
             rebuilds,
             avg_neighbors,
             cell_max_rel_err: cell_err,
             simd_max_rel_err: simd_err,
-            sharded_max_rel_err: sharded_err,
-            sharded_worker_invariant: invariant,
         };
         println!(
-            "n={:4}: naive {:9.0} cell {:9.0} simd {:9.0} sharded {:9.0} ns/step | \
+            "n={:4}: naive {:9.0} cell {:9.0} simd {:9.0} ns/step | \
              cell/naive {:5.2}x, simd/cell {:5.2}x | rebuilds {}, avg nb {:.1}, \
-             err c={:.1e} s={:.1e} sh={:.1e}, inv={}",
+             err c={:.1e} s={:.1e}",
             r.n,
             r.naive_ns_per_step,
             r.cell_ns_per_step,
             r.simd_ns_per_step,
-            r.sharded_ns_per_step,
             r.cell_speedup_vs_naive,
             r.simd_speedup_vs_cell,
             r.rebuilds,
             r.avg_neighbors,
             r.cell_max_rel_err,
             r.simd_max_rel_err,
-            r.sharded_max_rel_err,
-            r.sharded_worker_invariant,
         );
         results.push(r);
     }
@@ -289,21 +251,11 @@ fn main() {
 
     let mut ok = true;
     for r in &results {
-        let worst = r
-            .cell_max_rel_err
-            .max(r.simd_max_rel_err)
-            .max(r.sharded_max_rel_err);
+        let worst = r.cell_max_rel_err.max(r.simd_max_rel_err);
         if worst > EQUIV_TOL {
             eprintln!(
                 "error: kernels disagree at n={} (max rel err {:.3e} > {EQUIV_TOL:.0e})",
                 r.n, worst
-            );
-            ok = false;
-        }
-        if !r.sharded_worker_invariant {
-            eprintln!(
-                "error: sharded results depend on the worker count at n={}",
-                r.n
             );
             ok = false;
         }

@@ -1,23 +1,27 @@
 //! The scale-up experiment (§3.4, Fig 3.18, Table 3.3): optimize the
-//! Rosenbrock function in `d = 20 / 50 / 100` dimensions with the full MW
-//! hierarchy — one dispatched task per vertex evaluation, `Ns` client
-//! threads per task — measuring real wall-clock time per simplex step.
+//! Rosenbrock function in `d = 20 / 50 / 100` dimensions over the MW
+//! deployment's `d + 3` workers — one stream extension per vertex
+//! evaluation, dispatched through the `SamplingBackend` seam — measuring
+//! real wall-clock time per simplex step.
 
 use mw_framework::alloc::Allocation;
-use mw_framework::task::{MwDriver, MwTask, WorkerCtx};
+use mw_framework::pool::{default_respawn_budget, RetryPolicy};
+use mw_framework::{FaultPlan, ThreadedBackend};
 use noisy_simplex::geometry::{centroid_excluding, contract, expand, order, reflect};
 use std::time::Instant;
+use stoch_eval::backend::{SamplingBackend, StreamJob};
 use stoch_eval::functions::Rosenbrock;
 use stoch_eval::objective::{Objective, SampleStream};
 use stoch_eval::rng::child_seed;
 use stoch_eval::sampler::GaussianStream;
 
-/// Evaluate the noisy Rosenbrock at a point: the task shipped to a worker.
+/// One evaluation of the noisy Rosenbrock at a point.
 ///
-/// The worker's server side fans out to `Ns` clients; each client samples an
-/// independent system (an independent Gaussian stream at the same point) for
-/// duration `dt`, and the server averages the client results — the vertex
-/// estimate has variance `σ0²/(Ns·dt)`.
+/// In the paper the vertex's server fans out to `Ns` clients, each sampling
+/// an independent system for `dt`, and averages them. Here the `Ns` clients
+/// are one Gaussian stream sampled at `Ns` times the rate, i.e. extended by
+/// `Ns·dt`: the vertex estimate keeps the variance `σ0²/(Ns·dt)`, and at
+/// `Ns = 1` it is exactly the single client's stream.
 #[derive(Debug, Clone)]
 pub struct VertexEvalTask {
     /// The point in parameter space.
@@ -26,22 +30,30 @@ pub struct VertexEvalTask {
     pub sigma0: f64,
     /// Sampling duration per client.
     pub dt: f64,
-    /// Task seed (clients derive child seeds).
+    /// Task seed (the stream's seed is `child_seed(seed, 0)`).
     pub seed: u64,
 }
 
-impl MwTask for VertexEvalTask {
-    type Output = f64;
-
-    fn execute(self, ctx: &WorkerCtx) -> f64 {
-        let f = Rosenbrock::new(self.x.len()).value(&self.x);
-        let shards = ctx.run_clients(|client| {
-            let mut s = GaussianStream::new(f, self.sigma0, child_seed(self.seed, client as u64));
-            s.extend(self.dt);
-            s.estimate().value
-        });
-        shards.iter().sum::<f64>() / shards.len() as f64
-    }
+/// Evaluate `tasks` as one batch on `backend` with `ns` clients per vertex,
+/// returning the vertex estimates in task order.
+pub fn evaluate(backend: &ThreadedBackend, ns: usize, tasks: &[VertexEvalTask]) -> Vec<f64> {
+    let jobs = tasks
+        .iter()
+        .enumerate()
+        .map(|(slot, t)| {
+            let f = Rosenbrock::new(t.x.len()).value(&t.x);
+            StreamJob {
+                slot,
+                dt: ns as f64 * t.dt,
+                stream: GaussianStream::new(f, t.sigma0, child_seed(t.seed, 0)),
+            }
+        })
+        .collect();
+    backend
+        .extend_batch(jobs)
+        .into_iter()
+        .map(|j| j.stream.estimate().value)
+        .collect()
 }
 
 /// One per-step record of the scale-up run.
@@ -92,7 +104,8 @@ pub fn scaleup_rosenbrock(
 
 /// [`scaleup_rosenbrock`] with optional run accounting: when `registry` is
 /// given, the worker pool records its job, busy/idle and queue-depth
-/// tallies into it (`mw.pool.*` metrics).
+/// tallies into it (`mw.pool.*` metrics), and the backend its batch
+/// tallies (`mw.backend.*`).
 #[allow(clippy::too_many_arguments)]
 pub fn scaleup_rosenbrock_with_metrics(
     d: usize,
@@ -105,10 +118,15 @@ pub fn scaleup_rosenbrock_with_metrics(
     registry: Option<&obs::MetricsRegistry>,
 ) -> ScaleupResult {
     let alloc = Allocation::new(d, ns);
-    let driver = match registry {
-        Some(reg) => MwDriver::with_metrics(alloc.workers(), ns, reg),
-        None => MwDriver::new(alloc.workers(), ns),
-    };
+    let workers = alloc.workers();
+    let backend = ThreadedBackend::with_options(
+        workers,
+        FaultPlan::none(),
+        RetryPolicy::default(),
+        default_respawn_budget(workers),
+        registry,
+    );
+    let eval_one = |task: VertexEvalTask| evaluate(&backend, ns, &[task])[0];
     let mut next_seed = seed;
     let mut seed_gen = move || {
         next_seed = next_seed.wrapping_add(1);
@@ -125,9 +143,7 @@ pub fn scaleup_rosenbrock_with_metrics(
 
     // Initial concurrent evaluation of all d+1 vertices.
     let tasks: Vec<VertexEvalTask> = points.iter().map(|x| eval(x, seed_gen())).collect();
-    let mut values = driver
-        .dispatch_all(tasks)
-        .expect("MW worker lost during scale-up bench");
+    let mut values = evaluate(&backend, ns, &tasks);
 
     let t0 = Instant::now();
     let mut trace = Vec::new();
@@ -145,17 +161,11 @@ pub fn scaleup_rosenbrock_with_metrics(
         let ord = order(&values);
         let cent = centroid_excluding(&points, ord.max);
         let refl_x = reflect(&cent, &points[ord.max], 1.0);
-        // The reflection and (prospective) expansion/contraction evaluations
-        // are dispatched to the two trial-vertex workers concurrently.
-        let refl_h = driver.dispatch(eval(&refl_x, seed_gen()));
-        let g_ref = refl_h.recv().expect("MW worker lost");
+        let g_ref = eval_one(eval(&refl_x, seed_gen()));
 
         if g_ref < values[ord.min] {
             let exp_x = expand(&cent, &refl_x, 2.0);
-            let g_exp = driver
-                .dispatch(eval(&exp_x, seed_gen()))
-                .recv()
-                .expect("MW worker lost");
+            let g_exp = eval_one(eval(&exp_x, seed_gen()));
             if g_exp < g_ref {
                 points[ord.max] = exp_x;
                 values[ord.max] = g_exp;
@@ -168,17 +178,15 @@ pub fn scaleup_rosenbrock_with_metrics(
             values[ord.max] = g_ref;
         } else {
             let con_x = contract(&cent, &points[ord.max], 0.5);
-            let g_con = driver
-                .dispatch(eval(&con_x, seed_gen()))
-                .recv()
-                .expect("MW worker lost");
+            let g_con = eval_one(eval(&con_x, seed_gen()));
             if g_con < values[ord.max] {
                 points[ord.max] = con_x;
                 values[ord.max] = g_con;
             } else {
                 // Collapse towards the best vertex and re-evaluate everyone
-                // concurrently (one task per worker).
+                // concurrently (one batch, one job per worker).
                 let keep = points[ord.min].clone();
+                let mut moved = Vec::new();
                 let mut tasks = Vec::new();
                 for (i, p) in points.iter_mut().enumerate() {
                     if i == ord.min {
@@ -187,14 +195,11 @@ pub fn scaleup_rosenbrock_with_metrics(
                     for (pj, kj) in p.iter_mut().zip(&keep) {
                         *pj = 0.5 * *pj + 0.5 * kj;
                     }
-                    tasks.push((i, eval(p, seed_gen())));
+                    moved.push(i);
+                    tasks.push(eval(p, seed_gen()));
                 }
-                let handles: Vec<_> = tasks
-                    .into_iter()
-                    .map(|(i, t)| (i, driver.dispatch(t)))
-                    .collect();
-                for (i, h) in handles {
-                    values[i] = h.recv().expect("MW worker lost");
+                for (i, v) in moved.into_iter().zip(evaluate(&backend, ns, &tasks)) {
+                    values[i] = v;
                 }
             }
         }
@@ -264,26 +269,44 @@ mod tests {
     #[test]
     fn vertex_eval_task_averages_clients() {
         // With sigma0 = 0 every client returns exactly f(x).
-        let driver = MwDriver::new(2, 4);
+        let backend = ThreadedBackend::new(2);
         let x = vec![0.0, 0.0, 0.0];
         let f = Rosenbrock::new(3).value(&x);
-        let out = driver.dispatch_all(vec![VertexEvalTask {
+        let task = VertexEvalTask {
             x,
             sigma0: 0.0,
             dt: 1.0,
             seed: 1,
-        }]);
-        assert_eq!(out.unwrap()[0], f);
+        };
+        assert_eq!(evaluate(&backend, 4, &[task]), vec![f]);
+    }
+
+    #[test]
+    fn single_client_is_the_seeded_gaussian_stream() {
+        // Ns = 1 pins the evaluation to one stream seeded child_seed(seed, 0)
+        // and extended by dt, bit for bit.
+        let backend = ThreadedBackend::new(2);
+        let x = vec![-1.2, 1.0, 0.5];
+        let task = VertexEvalTask {
+            x: x.clone(),
+            sigma0: 3.0,
+            dt: 0.7,
+            seed: 42,
+        };
+        let f = Rosenbrock::new(3).value(&x);
+        let mut s = GaussianStream::new(f, 3.0, child_seed(42, 0));
+        s.extend(0.7);
+        let got = evaluate(&backend, 1, &[task])[0];
+        assert_eq!(got.to_bits(), s.estimate().value.to_bits());
     }
 
     #[test]
     fn more_clients_reduce_noise() {
-        let driver = MwDriver::new(2, 1);
-        let driver16 = MwDriver::new(2, 16);
+        let backend = ThreadedBackend::new(2);
         let x = vec![1.0, 1.0];
         let f = Rosenbrock::new(2).value(&x); // 0
-        let noisy = |d: &MwDriver, n: usize| -> f64 {
-            let tasks: Vec<VertexEvalTask> = (0..n as u64)
+        let rms = |ns: usize| -> f64 {
+            let tasks: Vec<VertexEvalTask> = (0..64u64)
                 .map(|s| VertexEvalTask {
                     x: x.clone(),
                     sigma0: 10.0,
@@ -291,13 +314,13 @@ mod tests {
                     seed: s,
                 })
                 .collect();
-            let outs = d.dispatch_all(tasks).unwrap();
+            let outs = evaluate(&backend, ns, &tasks);
             let mean_sq: f64 =
                 outs.iter().map(|v| (v - f) * (v - f)).sum::<f64>() / outs.len() as f64;
             mean_sq.sqrt()
         };
-        let rms1 = noisy(&driver, 64);
-        let rms16 = noisy(&driver16, 64);
+        let rms1 = rms(1);
+        let rms16 = rms(16);
         assert!(
             rms16 < rms1,
             "16 clients should average noise down: {rms16} vs {rms1}"

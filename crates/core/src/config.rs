@@ -9,49 +9,53 @@ use mw_framework::transport::process::{default_process_workers, ProcessBackend};
 use mw_framework::FaultPlan;
 use std::sync::Arc;
 use stoch_eval::backend::{SamplingBackend, SerialBackend};
-use stoch_eval::objective::{SampleStream, StochasticObjective};
+use stoch_eval::objective::SampleStream;
 use stoch_eval::stats::{EstimatorChoice, TailReport};
 
-/// A configuration rejected at validation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A run specification rejected at validation time, before any sampling
+/// starts (see [`SimplexConfig::validate_start`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The objective's streams dispatch their sampling onto the same worker
-    /// pool the configured backend fans batches over. Batch jobs would then
-    /// submit to their own pool from inside workers and deadlock once every
-    /// worker is occupied; the combination is refused instead. Use a serial
-    /// backend with a pool-dispatching objective, or drive the pool through
-    /// the batch backend alone.
-    NestedDispatch,
+    /// The initial simplex is not `dim + 1` vertices of length `dim`.
+    InitShape {
+        /// The objective's dimension.
+        dim: usize,
+        /// Number of vertices supplied.
+        vertices: usize,
+        /// Index of the first vertex whose length is not `dim`, if any.
+        bad_vertex: Option<usize>,
+    },
+    /// The simplex coefficients are out of range.
+    Coefficients(String),
+    /// The sampling policy is out of range.
+    Sampling(String),
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::NestedDispatch => write!(
-                f,
-                "objective and sampling backend dispatch on the same worker pool \
-                 (nested dispatch would deadlock); keep the engine on a serial \
-                 backend when the objective ships its own sampling to a pool"
-            ),
+            ConfigError::InitShape {
+                dim,
+                vertices,
+                bad_vertex,
+            } => {
+                write!(
+                    f,
+                    "initial simplex must have d+1 = {} vertices of length {dim}, got {vertices}",
+                    dim + 1
+                )?;
+                match bad_vertex {
+                    Some(i) => write!(f, " (vertex {i} has the wrong length)"),
+                    None => Ok(()),
+                }
+            }
+            ConfigError::Coefficients(why) => write!(f, "invalid coefficients: {why}"),
+            ConfigError::Sampling(why) => write!(f, "invalid sampling policy: {why}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Reject the deadlocking combination of a batch backend and an objective
-/// dispatching on one shared worker pool (see
-/// [`SimplexConfig::validate_dispatch`]). Either side without a pool — or
-/// two distinct pools — passes.
-pub fn check_nested_dispatch<F: StochasticObjective>(
-    backend: &dyn SamplingBackend<F::Stream>,
-    objective: &F,
-) -> Result<(), ConfigError> {
-    match (backend.pool_token(), objective.pool_token()) {
-        (Some(b), Some(o)) if b == o => Err(ConfigError::NestedDispatch),
-        _ => Ok(()),
-    }
-}
 
 /// Which [`SamplingBackend`] executes each sampling round (DESIGN.md §8).
 ///
@@ -445,22 +449,29 @@ impl SimplexConfig {
             || self.retry != RetryPolicy::default()
     }
 
-    /// Validate that driving `objective` with the backend this configuration
-    /// builds cannot deadlock on a shared worker pool.
-    ///
-    /// The failure mode (previously only a documented footgun, DESIGN.md §8):
-    /// an objective whose streams dispatch their own `extend` onto a pool —
-    /// e.g. `mw-framework`'s `MwObjective` — driven through a batch backend
-    /// over the *same* pool submits jobs from inside worker jobs; once every
-    /// worker is occupied by a batch job, nobody can make progress. Both
-    /// sides now expose an opaque pool token, so the collision is detected
-    /// here, at configuration-validation time, and reported as
-    /// [`ConfigError::NestedDispatch`] instead of wedging at runtime.
-    pub fn validate_dispatch<F: StochasticObjective>(
-        &self,
-        objective: &F,
-    ) -> Result<(), ConfigError> {
-        check_nested_dispatch(self.build_backend::<F::Stream>().as_ref(), objective)
+    /// Check the simplex coefficients and the sampling policy.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        self.coefficients
+            .validate()
+            .map_err(ConfigError::Coefficients)?;
+        self.sampling.validate().map_err(ConfigError::Sampling)
+    }
+
+    /// Check that a fresh run of this configuration can start from `init`
+    /// on a `dim`-dimensional objective: `dim + 1` vertices of length
+    /// `dim`, then [`validate`](Self::validate). The scheduler calls this
+    /// at admission and the engine at construction, so a malformed spec is
+    /// refused as a value before it can reach a shared tick.
+    pub fn validate_start(&self, dim: usize, init: &[Vec<f64>]) -> Result<(), ConfigError> {
+        let bad_vertex = init.iter().position(|v| v.len() != dim);
+        if init.len() != dim + 1 || bad_vertex.is_some() {
+            return Err(ConfigError::InitShape {
+                dim,
+                vertices: init.len(),
+                bad_vertex,
+            });
+        }
+        self.validate()
     }
 
     /// Instantiate the sampling backend for this configuration.

@@ -99,10 +99,9 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// batch-gated) backend.
     ///
     /// # Panics
-    /// If `backend` and `objective` dispatch on the same worker pool (see
-    /// [`SimplexConfig::validate_dispatch`](crate::config::SimplexConfig::validate_dispatch)
-    /// for the fallible form of the check): that configuration deadlocks once
-    /// every worker is occupied by a batch job, so it is refused up front.
+    /// On a malformed `init`, coefficients, or sampling policy (see
+    /// [`SimplexConfig::validate_start`](crate::config::SimplexConfig::validate_start)
+    /// for the fallible form of the check).
     pub fn new_with_backend(
         objective: &'a F,
         init: Vec<Vec<f64>>,
@@ -113,17 +112,9 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         backend: Arc<dyn SamplingBackend<F::Stream>>,
     ) -> Self {
         let d = objective.dim();
-        assert_eq!(
-            init.len(),
-            d + 1,
-            "initial simplex must have d+1 = {} vertices",
-            d + 1
-        );
-        assert!(init.iter().all(|v| v.len() == d));
-        cfg.coefficients.validate().expect("invalid coefficients");
-        cfg.sampling.validate().expect("invalid sampling policy");
-        crate::config::check_nested_dispatch(backend.as_ref(), objective)
-            .expect("invalid dispatch configuration");
+        if let Err(e) = cfg.validate_start(d, &init) {
+            panic!("{e}");
+        }
 
         let mut seeds = SeedSequence::new(seed);
         let mut slots = Vec::with_capacity(d + 3);
@@ -720,10 +711,6 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// master-side), so a suspended run can resume on a *different* backend
     /// — serial to threaded, solo to shared fleet — and the determinism
     /// contract keeps the remainder bit-identical.
-    ///
-    /// # Panics
-    /// As [`Engine::new_with_backend`]: refuses a backend sharing the
-    /// objective's own worker pool.
     pub fn resume_with_backend(
         objective: &'a F,
         cfg: SimplexConfig,
@@ -731,12 +718,8 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         term_override: Option<Termination>,
         backend: Arc<dyn SamplingBackend<F::Stream>>,
     ) -> Result<Self, CheckpointError> {
-        crate::config::check_nested_dispatch(backend.as_ref(), objective)
-            .expect("invalid dispatch configuration");
-        cfg.coefficients
-            .validate()
-            .map_err(CheckpointError::Mismatch)?;
-        cfg.sampling.validate().map_err(CheckpointError::Mismatch)?;
+        cfg.validate()
+            .map_err(|e| CheckpointError::Mismatch(e.to_string()))?;
         let d = objective.dim();
         let mut r = Reader::new(payload);
         let iterations = r.take_u64()?;

@@ -73,9 +73,8 @@ pub mod prelude {
     pub use crate::baselines::{RandomSearch, SimulatedAnnealing, Spsa};
     pub use crate::checkpoint::{CheckpointConfig, CheckpointError, SnapshotInfo};
     pub use crate::config::{
-        check_nested_dispatch, AndersonParams, BackendChoice, BreakdownAction, BreakdownPolicy,
-        ConfigError, MnParams, NonFinitePolicy, PcConditions, PcParams, SamplingPolicy,
-        SimplexConfig, TransportChoice,
+        AndersonParams, BackendChoice, BreakdownAction, BreakdownPolicy, ConfigError, MnParams,
+        NonFinitePolicy, PcConditions, PcParams, SamplingPolicy, SimplexConfig, TransportChoice,
     };
     pub use crate::det::Det;
     pub use crate::geometry::Coefficients;

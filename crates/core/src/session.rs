@@ -76,9 +76,8 @@ impl<'a, F: StochasticObjective> RunSession<'a, F> {
     /// Start a fresh session on the backend the config would build.
     ///
     /// # Panics
-    /// As [`Engine::new`]: on malformed `init`/coefficients, or when the
-    /// objective and backend dispatch on the same worker pool (nested
-    /// dispatch — see [`crate::config::check_nested_dispatch`]).
+    /// As [`Engine::new`]: on malformed `init`, coefficients, or sampling
+    /// policy (see [`crate::config::SimplexConfig::validate_start`]).
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         objective: &'a F,

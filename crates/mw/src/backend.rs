@@ -11,6 +11,12 @@
 //! submission order so floating-point accounting sums identically to the
 //! serial backend.
 //!
+//! This seam is the only way work reaches a worker: the engine's rounds,
+//! the scheduler's merged fleet batches, and the §3.4 scale-up all call
+//! [`SamplingBackend::extend_batch`], and the process transport
+//! ([`crate::transport::ProcessBackend`]) implements the same trait across
+//! process boundaries.
+//!
 //! # Fault tolerance (DESIGN.md §9)
 //!
 //! The backend keeps a master-side clone of every stream it ships. If a
@@ -40,12 +46,6 @@
 //! state, so the race is between bit-identical results: hedging can only
 //! ever buy tail latency, never change an answer. `mw.hedge.launched` and
 //! `mw.hedge.wins` count launches and races won by the hedge.
-//!
-//! Do **not** wrap an [`MwObjective`](crate::objective::MwObjective) in a
-//! `ThreadedBackend` over the *same* pool: its streams call back into the
-//! pool from inside a worker job, which deadlocks once every worker is
-//! occupied by a batch job. Use one or the other — the backend subsumes the
-//! adapter for batch workloads.
 
 use crate::faults::FaultPlan;
 use crate::pool::{default_respawn_budget, JobHandle, MwPool, RetryPolicy, WorkerLost};
@@ -67,10 +67,7 @@ const SUPERVISION_FALLBACK: Duration = Duration::from_millis(100);
 
 /// Ship one extension job to the pool: the stream state moves to a worker,
 /// extends there, and is handed back through the job handle.
-///
-/// This is the single stream-shipping primitive shared by the batch backend
-/// and the per-stream [`MwStream`](crate::objective::MwStream) adapter.
-pub(crate) fn ship_extend<S: SampleStream + 'static>(
+fn ship_extend<S: SampleStream + 'static>(
     pool: &MwPool,
     mut job: StreamJob<S>,
 ) -> JobHandle<StreamJob<S>> {
@@ -535,10 +532,6 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ThreadedBackend {
 
     fn degraded(&self) -> bool {
         self.degraded.load(Ordering::SeqCst) || self.pool.is_failed()
-    }
-
-    fn pool_token(&self) -> Option<usize> {
-        Some(Arc::as_ptr(&self.pool) as usize)
     }
 }
 

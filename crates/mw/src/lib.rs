@@ -4,24 +4,27 @@
 //! *server* that fans out to `Ns` *client* simulations (Figs 3.1–3.2, 4.3).
 //!
 //! The paper's deployment uses MPI ranks on a cluster; here workers are OS
-//! threads fed over `crossbeam` channels (see `DESIGN.md` — substitutions).
-//! The communication topology is preserved: tasks and workers never talk to
-//! each other, only to the master; clients only to their server.
+//! threads fed over `crossbeam` channels, or worker processes behind the
+//! frame protocol (see `DESIGN.md` — substitutions). The communication
+//! topology is preserved: workers never talk to each other, only to the
+//! master.
+//!
+//! There is one way to put work on a worker: hand a batch of stream
+//! extensions to a `stoch-eval` `SamplingBackend` (`extend_batch`). The
+//! engine, the scheduler, and the §3.4 scale-up all dispatch this way. A
+//! vertex's `Ns` sampling clients are modelled as an `Ns`-fold sampling
+//! rate on one stream (an extension of `Ns·dt`), which gives the vertex
+//! estimate the paper's `σ0²/(Ns·dt)` variance.
 //!
 //! * [`alloc`] — the processor-allocation arithmetic of Table 3.3.
 //! * [`pool`] — the supervised worker pool (spawn/submit/call/stats,
 //!   liveness detection, respawn, graceful failure).
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`],
 //!   `NSX_FAULTS`) for chaos-testing the supervision layer.
-//! * [`task`] — the structured `MwTask`/`MwDriver`/`WorkerCtx` layer with
-//!   the server→clients fan-out.
 //! * [`backend`] — the pool-backed [`backend::ThreadedBackend`]
 //!   implementation of `stoch-eval`'s `SamplingBackend` seam: whole
 //!   sampling rounds fan out over the workers, with retry/timeout recovery
 //!   and serial degradation when the pool is lost (DESIGN.md §9).
-//! * [`objective`] — an adapter that runs any `StochasticObjective`'s
-//!   sampling on MW workers, so the optimizers in `noisy-simplex` can be
-//!   deployed on the pool unchanged.
 //! * [`resilience`] — straggler hedging ([`resilience::HedgePolicy`],
 //!   `NSX_HEDGE`), heartbeat liveness, and jittered respawn backoff
 //!   (DESIGN.md §16), shared by the pool, backend, and transport layers.
@@ -43,22 +46,16 @@
 
 pub mod alloc;
 pub mod backend;
-pub mod comm;
 pub mod faults;
-pub mod objective;
 pub mod pool;
 pub mod resilience;
-pub mod task;
 pub mod transport;
 
 pub use alloc::Allocation;
 pub use backend::ThreadedBackend;
-pub use comm::{network, CommError, Endpoint, Message, Packable};
 pub use faults::{Delay, FaultPlan, WorkerFault};
-pub use objective::{MwObjective, MwStream};
 pub use pool::{
     default_respawn_budget, JobHandle, MwPool, RetryPolicy, ShutdownError, WorkerLost, WorkerStats,
 };
 pub use resilience::{BackoffPolicy, HeartbeatPolicy, HedgePolicy, P2Quantile};
-pub use task::{MwDriver, MwTask, WorkerCtx};
 pub use transport::{ProcessBackend, ProcessPool, Transport, TransportError};

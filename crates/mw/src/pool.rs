@@ -44,7 +44,7 @@ pub struct WorkerStats {
 }
 
 /// Registry handles mirrored by the pool when one is attached at
-/// construction ([`MwPool::with_metrics`]). Metric names:
+/// construction ([`MwPool::with_options`]). Metric names:
 /// `mw.pool.jobs_submitted`, `mw.pool.queue_depth_hwm`,
 /// `mw.pool.workers_lost`, `mw.pool.respawns`, and per worker `w`
 /// `mw.pool.worker{w}.{jobs,busy_nanos,idle_nanos}`.
@@ -447,31 +447,10 @@ impl MwPool {
         )
     }
 
-    /// Spawn `n_workers` worker threads with run accounting mirrored into
-    /// `registry` (job submissions, queue-depth high-water mark, lost
-    /// workers, respawns, per-worker jobs and busy/idle nanoseconds).
-    pub fn with_metrics(n_workers: usize, registry: &MetricsRegistry) -> Self {
-        Self::with_options(
-            n_workers,
-            FaultPlan::none(),
-            default_respawn_budget(n_workers),
-            Some(registry),
-        )
-    }
-
     /// Spawn supervised workers with the given fault plan and the default
     /// respawn budget.
     pub fn supervised(n_workers: usize, faults: FaultPlan) -> Self {
         Self::with_options(n_workers, faults, default_respawn_budget(n_workers), None)
-    }
-
-    /// Spawn workers with legacy fault injection and *no* respawn budget:
-    /// worker `w` dies (stops pulling work, dropping its in-flight job's
-    /// result) immediately after executing `faults[w]` jobs, and stays dead.
-    /// Workers beyond `faults.len()` are immortal. Used to test master-side
-    /// reassignment with exact loss counts.
-    pub fn with_fault_injection(n_workers: usize, faults: &[Option<u64>]) -> Self {
-        Self::with_options(n_workers, FaultPlan::from_die_after(faults), 0, None)
     }
 
     /// Full-control constructor: worker count, fault plan, respawn budget,
@@ -873,7 +852,7 @@ mod tests {
 
     #[test]
     fn shutdown_reports_lost_workers() {
-        let pool = MwPool::with_fault_injection(2, &[Some(0), None]);
+        let pool = MwPool::with_options(2, FaultPlan::from_die_after(&[Some(0), None]), 0, None);
         let _ = pool.submit(|w| w).recv(); // feeds the dying worker (maybe)
                                            // Make sure worker 0 actually got a job and died.
         while pool.workers_lost() == 0 {
@@ -927,7 +906,7 @@ mod tests {
 
     #[test]
     fn injected_fault_surfaces_as_worker_lost() {
-        let pool = MwPool::with_fault_injection(2, &[Some(0), None]);
+        let pool = MwPool::with_options(2, FaultPlan::from_die_after(&[Some(0), None]), 0, None);
         let mut lost = 0;
         let mut ok = 0;
         for _ in 0..20 {
@@ -945,7 +924,12 @@ mod tests {
 
     #[test]
     fn pool_survives_partial_worker_death() {
-        let pool = MwPool::with_fault_injection(3, &[Some(2), None, None]);
+        let pool = MwPool::with_options(
+            3,
+            FaultPlan::from_die_after(&[Some(2), None, None]),
+            0,
+            None,
+        );
         let results: Vec<Result<usize, WorkerLost>> =
             (0..40).map(|_| pool.submit(|w| w).recv()).collect();
         let ok = results.iter().filter(|r| r.is_ok()).count();
@@ -1075,7 +1059,8 @@ mod tests {
     #[test]
     fn metrics_mirror_pool_activity() {
         let reg = obs::MetricsRegistry::new();
-        let pool = MwPool::with_metrics(3, &reg);
+        let pool =
+            MwPool::with_options(3, FaultPlan::none(), default_respawn_budget(3), Some(&reg));
         let handles: Vec<_> = (0..24).map(|i| pool.submit(move |_| i)).collect();
         for h in handles {
             h.recv().unwrap();

@@ -1,5 +1,5 @@
-//! The transport seam under [`crate::comm`]: how master and workers exchange
-//! frames (DESIGN.md §12).
+//! The transport seam: how master and workers exchange frames (DESIGN.md
+//! §12).
 //!
 //! The paper's MW deployment runs master and workers as separate MPI ranks
 //! on a cluster; everything in this workspace so far substitutes threads and

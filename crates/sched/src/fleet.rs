@@ -188,10 +188,6 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for FleetBackend<S> {
     fn degraded(&self) -> bool {
         self.inner.degraded()
     }
-
-    fn pool_token(&self) -> Option<usize> {
-        self.inner.pool_token()
-    }
 }
 
 /// RAII participant handle: `leave`s the gate on drop, so a participant

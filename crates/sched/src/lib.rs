@@ -360,30 +360,85 @@ mod tests {
     }
 
     #[test]
-    fn nested_dispatch_is_refused_at_admission() {
-        use mw_framework::{MwObjective, MwPool, ThreadedBackend};
-        let pool = Arc::new(MwPool::new(2));
-        let inner = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
-        let obj = MwObjective::new(inner, Arc::clone(&pool));
-        // The fleet dispatches on the same pool the objective ships to:
-        // admitting this run must fail with the typed error, not deadlock.
-        let mut sched: Scheduler<MwObjective<Noisy<Rosenbrock, ConstantNoise>>> = Scheduler::new(
-            SchedConfig::default(),
-            Arc::new(ThreadedBackend::over(Arc::clone(&pool))),
-        );
-        let err = sched
-            .admit(RunSpec::new(
+    fn malformed_specs_are_refused_at_admission() {
+        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(10.0));
+        let spec = |init: Vec<Vec<f64>>, cfg: SimplexConfig, seed: u64| {
+            RunSpec::new(
                 &obj,
-                init(1),
-                serial_cfg(),
-                term(5),
+                init,
+                cfg,
+                term(20),
                 TimeMode::Parallel,
-                1,
+                seed,
                 Driver::Det,
-            ))
-            .unwrap_err();
-        assert_eq!(err, ConfigError::NestedDispatch);
-        let _ = pool.shutdown();
+            )
+        };
+        let solo = |seed: u64| {
+            RunSession::new(
+                &obj,
+                init(seed),
+                serial_cfg(),
+                term(20),
+                TimeMode::Parallel,
+                seed,
+                Driver::Det,
+            )
+            .run_to_completion()
+        };
+        let mut sched = Scheduler::new(
+            SchedConfig {
+                width: 2,
+                quantum: 2,
+            },
+            Arc::new(SerialBackend),
+        );
+        let a = sched.admit(spec(init(1), serial_cfg(), 1)).unwrap();
+
+        // Each malformed spec is a typed error at admission, never a run.
+        let mut short = init(2);
+        short.pop();
+        assert_eq!(
+            sched.admit(spec(short, serial_cfg(), 2)).unwrap_err(),
+            ConfigError::InitShape {
+                dim: 2,
+                vertices: 2,
+                bad_vertex: None
+            }
+        );
+        let mut ragged = init(3);
+        ragged[1].push(0.0);
+        assert_eq!(
+            sched.admit(spec(ragged, serial_cfg(), 3)).unwrap_err(),
+            ConfigError::InitShape {
+                dim: 2,
+                vertices: 3,
+                bad_vertex: Some(1)
+            }
+        );
+        let mut bad_coef = serial_cfg();
+        bad_coef.coefficients.beta = 1.5;
+        assert!(matches!(
+            sched.admit(spec(init(4), bad_coef, 4)),
+            Err(ConfigError::Coefficients(_))
+        ));
+        let mut bad_sampling = serial_cfg();
+        bad_sampling.sampling.growth = 1.0;
+        assert!(matches!(
+            sched.admit(spec(init(5), bad_sampling, 5)),
+            Err(ConfigError::Sampling(_))
+        ));
+
+        let b = sched.admit(spec(init(6), serial_cfg(), 6)).unwrap();
+        assert_eq!(
+            sched
+                .service_registry()
+                .counter("sched.runs_admitted")
+                .get(),
+            2
+        );
+        sched.run();
+        assert_bit_identical(&solo(1), sched.result(a).unwrap(), "run a");
+        assert_bit_identical(&solo(6), sched.result(b).unwrap(), "run b");
     }
 
     #[test]

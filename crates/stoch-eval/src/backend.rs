@@ -60,12 +60,10 @@ pub trait SamplingBackend<S>: Send + Sync {
         false
     }
 
-    /// Opaque identity of the worker pool this backend dispatches on, if
-    /// any. Inline backends return `None`. Two backends (or a backend and an
-    /// objective — see
-    /// [`StochasticObjective::pool_token`]) sharing a pool return the same
-    /// token, which lets configuration validation detect the
-    /// nested-dispatch-on-own-pool deadlock before any job is submitted.
+    /// Unused: the library no longer reads this (it guarded a retired
+    /// objective adapter that dispatched onto the backend's own pool). It
+    /// stays, defaulting to `None`, only because the repository benchmark's
+    /// tracing wrappers still forward it; it goes when they stop.
     fn pool_token(&self) -> Option<usize> {
         None
     }

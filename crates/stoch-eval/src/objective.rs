@@ -197,14 +197,10 @@ pub trait StochasticObjective: Sync {
         None
     }
 
-    /// Opaque identity of the worker pool this objective's streams dispatch
-    /// on during `extend`, if any. Plain in-process objectives return `None`
-    /// (the default). Pool-dispatching adapters (e.g. `mw-framework`'s
-    /// `MwObjective`) return a token matching
-    /// [`SamplingBackend::pool_token`](crate::backend::SamplingBackend::pool_token)
-    /// for the same pool, so configuration validation can reject the
-    /// deadlocking combination of an objective and a batch backend driving
-    /// one pool.
+    /// Unused: the library no longer reads this (see
+    /// [`SamplingBackend::pool_token`](crate::backend::SamplingBackend::pool_token)).
+    /// It stays, defaulting to `None`, only because the repository
+    /// benchmark's tracing wrappers still forward it; it goes when they stop.
     fn pool_token(&self) -> Option<usize> {
         None
     }
@@ -220,9 +216,6 @@ impl<T: StochasticObjective + ?Sized> StochasticObjective for &T {
     }
     fn true_value(&self, x: &[f64]) -> Option<f64> {
         (**self).true_value(x)
-    }
-    fn pool_token(&self) -> Option<usize> {
-        (**self).pool_token()
     }
 }
 

@@ -5,23 +5,14 @@
 //! production path — a linked-cell spatial grid over the periodic box plus a
 //! Verlet neighbor list with a skin radius — behind the [`ForceKernel`]
 //! enum, selectable per engine or process-wide via `NSX_FORCE_KERNEL`
-//! (`naive` | `cell` | `simd` | `sharded`, default `cell`).
+//! (`naive` | `cell` | `simd`, default `cell`).
 //!
-//! On top of the scalar cell-list path sit two hardware-fast tiers sharing
-//! the same neighbor list (exposed to them as a CSR row view):
-//!
-//! * [`ForceKernel::Simd`] — packs positions into a structure-of-arrays
-//!   store ([`crate::soa`]) and runs the lane-batched kernel
-//!   ([`crate::simd`]): candidate filtering, 9-site gathering, and packed
-//!   4-wide square-root/division stages instead of the scalar per-pair
-//!   loop.
-//! * [`ForceKernel::Sharded`] — the same lane kernel with the list's rows
-//!   partitioned into a fixed number of shards ([`crate::shard`],
-//!   `DEFAULT_SHARDS`) evaluated on a private `mw` worker pool and reduced
-//!   in shard-index order, so results are bit-identical across worker
-//!   counts (1, 2, 4, ...). The pool is spawned lazily on the first
-//!   sharded evaluation and sized by [`ForceEngine::with_sharding`] or
-//!   `available_parallelism`.
+//! On top of the scalar cell-list path sits a hardware-fast tier sharing
+//! the same neighbor list (exposed to it as a CSR row view):
+//! [`ForceKernel::Simd`] packs positions into a structure-of-arrays store
+//! ([`crate::soa`]) and runs the lane-batched kernel ([`crate::simd`]):
+//! candidate filtering, 9-site gathering, and packed 4-wide
+//! square-root/division stages instead of the scalar per-pair loop.
 //!
 //! # Exactness
 //!
@@ -54,13 +45,11 @@
 //! over the many steps the Verlet skin keeps the list valid.
 
 use crate::forces::{compute_forces, Forces};
-use crate::shard::{compute_sharded, Csr, Snapshot, DEFAULT_SHARDS};
-use crate::simd::{compute_rows, LaneScratch, PairParams};
+use crate::simd::{compute_rows, Csr, LaneScratch, PairParams};
 use crate::soa::{SoaForces, SoaSites};
 use crate::system::{min_image_vec, System};
 use crate::units::COULOMB;
 use crate::vec3::Vec3;
-use mw_framework::pool::MwPool;
 use obs::{Counter, Gauge, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,20 +70,16 @@ pub enum ForceKernel {
     /// The lane-batched SoA kernel over the same neighbor list
     /// ([`crate::simd`]), serial.
     Simd,
-    /// The lane-batched kernel with list rows sharded across a worker pool
-    /// and reduced in fixed shard order ([`crate::shard`]).
-    Sharded,
 }
 
 impl ForceKernel {
     /// Parse a kernel name (`naive`, `cell`/`celllist`/`cell-list`/
-    /// `cell_list`, `simd`, or `sharded`/`shard`), case-insensitive.
+    /// `cell_list`, or `simd`), case-insensitive.
     pub fn parse(s: &str) -> Option<ForceKernel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Some(ForceKernel::Naive),
             "cell" | "celllist" | "cell-list" | "cell_list" => Some(ForceKernel::CellList),
             "simd" => Some(ForceKernel::Simd),
-            "sharded" | "shard" => Some(ForceKernel::Sharded),
             _ => None,
         }
     }
@@ -115,7 +100,6 @@ impl ForceKernel {
             ForceKernel::Naive => "naive",
             ForceKernel::CellList => "cell",
             ForceKernel::Simd => "simd",
-            ForceKernel::Sharded => "sharded",
         }
     }
 
@@ -136,10 +120,8 @@ pub struct KernelStats {
     pub force_nanos: u64,
     /// Σ over rebuilds of the pair count of the freshly built list.
     pub pair_sum: u64,
-    /// 4-wide lane batches executed (simd/sharded kernels).
+    /// 4-wide lane batches executed (simd kernel).
     pub lanes: u64,
-    /// Shard jobs evaluated (sharded kernel).
-    pub shards: u64,
     /// Wall-clock spent packing the SoA position store, ns.
     pub pack_nanos: u64,
 }
@@ -167,16 +149,15 @@ impl KernelStats {
 /// ([`ForceEngine::with_metrics`]). Metric names: `water.kernel.evals`,
 /// `water.kernel.rebuilds`, `water.kernel.force_nanos`,
 /// `water.kernel.neighbor_pairs` (Σ list length over rebuilds),
-/// `water.kernel.lanes` (4-wide lane batches), `water.kernel.shards`
-/// (shard jobs), `water.kernel.pack_nanos` (SoA pack wall-clock), and the
-/// `water.kernel.avg_neighbors` gauge (neighbors per molecule at build).
+/// `water.kernel.lanes` (4-wide lane batches), `water.kernel.pack_nanos`
+/// (SoA pack wall-clock), and the `water.kernel.avg_neighbors` gauge
+/// (neighbors per molecule at build).
 struct KernelObs {
     evals: Arc<Counter>,
     rebuilds: Arc<Counter>,
     force_nanos: Arc<Counter>,
     neighbor_pairs: Arc<Counter>,
     lanes: Arc<Counter>,
-    shards: Arc<Counter>,
     pack_nanos: Arc<Counter>,
     avg_neighbors: Arc<Gauge>,
 }
@@ -189,7 +170,6 @@ impl KernelObs {
             force_nanos: registry.counter("water.kernel.force_nanos"),
             neighbor_pairs: registry.counter("water.kernel.neighbor_pairs"),
             lanes: registry.counter("water.kernel.lanes"),
-            shards: registry.counter("water.kernel.shards"),
             pack_nanos: registry.counter("water.kernel.pack_nanos"),
             avg_neighbors: registry.gauge("water.kernel.avg_neighbors"),
         }
@@ -211,9 +191,8 @@ struct NeighborList {
     /// Canonically ordered (i < j, sorted) so results are independent of
     /// whether the grid or the fallback sweep built the list.
     pairs: Vec<(u32, u32)>,
-    /// The same pairs as CSR rows for the lane/sharded kernels; behind an
-    /// `Arc` so per-evaluation shard snapshots share it by refcount.
-    csr: Arc<Csr>,
+    /// The same pairs as CSR rows for the lane kernel.
+    csr: Csr,
     ref_o: Vec<Vec3>,
     box_len: f64,
     rc: f64,
@@ -254,7 +233,7 @@ impl NeighborList {
             Self::sweep_pairs(sys, r_list_sq)
         };
         pairs.sort_unstable();
-        let csr = Arc::new(Csr::from_pairs(sys.n_molecules(), &pairs));
+        let csr = Csr::from_pairs(sys.n_molecules(), &pairs);
         NeighborList {
             pairs,
             csr,
@@ -373,12 +352,6 @@ pub struct ForceEngine {
     stats: KernelStats,
     obs: Option<KernelObs>,
     simd: SimdState,
-    /// Shard count for [`ForceKernel::Sharded`] — fixes the reduction tree,
-    /// so it must not track worker availability.
-    shards: usize,
-    /// Worker threads for the lazily spawned private pool.
-    shard_workers: usize,
-    pool: Option<MwPool>,
 }
 
 impl std::fmt::Debug for ForceEngine {
@@ -386,8 +359,6 @@ impl std::fmt::Debug for ForceEngine {
         f.debug_struct("ForceEngine")
             .field("kernel", &self.kernel)
             .field("skin", &self.skin)
-            .field("shards", &self.shards)
-            .field("shard_workers", &self.shard_workers)
             .field("stats", &self.stats)
             .finish()
     }
@@ -414,7 +385,6 @@ impl ForceEngine {
     /// An engine with an explicit Verlet skin (Å, > 0).
     pub fn with_skin(kernel: ForceKernel, skin: f64) -> Self {
         assert!(skin > 0.0, "Verlet skin must be positive, got {skin}");
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         ForceEngine {
             kernel,
             skin,
@@ -422,24 +392,7 @@ impl ForceEngine {
             stats: KernelStats::default(),
             obs: None,
             simd: SimdState::default(),
-            shards: DEFAULT_SHARDS,
-            shard_workers: hw.min(DEFAULT_SHARDS),
-            pool: None,
         }
-    }
-
-    /// A [`ForceKernel::Sharded`] engine with explicit shard and worker
-    /// counts. The shard count fixes the partition and reduction order
-    /// (results change at rounding level when it changes); the worker
-    /// count is pure execution detail (results are bit-identical across
-    /// worker counts).
-    pub fn with_sharding(skin: f64, shards: usize, workers: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(workers >= 1, "need at least one worker");
-        let mut e = Self::with_skin(ForceKernel::Sharded, skin);
-        e.shards = shards;
-        e.shard_workers = workers;
-        e
     }
 
     /// An engine mirroring its counters into `registry` (`water.kernel.*`).
@@ -498,7 +451,6 @@ impl ForceEngine {
                     pair_forces(sys, rc, pairs)
                 }
                 ForceKernel::Simd => self.simd_eval(sys, rc),
-                ForceKernel::Sharded => self.shard_eval(sys, rc),
                 // uses_list() is false for Naive.
                 ForceKernel::Naive => unreachable!(),
             }
@@ -515,7 +467,7 @@ impl ForceEngine {
         out
     }
 
-    /// Serial lane-batched evaluation: one "shard" spanning every list row.
+    /// Lane-batched evaluation over every list row.
     fn simd_eval(&mut self, sys: &System, rc: f64) -> Forces {
         let params = PairParams::new(&sys.model, rc, rc + reach_pad(sys));
         let tp = Instant::now();
@@ -523,61 +475,29 @@ impl ForceEngine {
         let pack_ns = tp.elapsed().as_nanos() as u64;
         let n = sys.n_molecules();
         self.simd.out.reset(n);
+        let empty;
         let csr = match &self.list {
-            Some(l) => Arc::clone(&l.csr),
-            None => Arc::new(Csr::from_pairs(n, &[])),
+            Some(l) => &l.csr,
+            None => {
+                empty = Csr::from_pairs(n, &[]);
+                &empty
+            }
         };
         let lanes = compute_rows(
             &self.simd.soa,
             sys.box_len,
             &params,
-            &csr.row_start,
-            &csr.cols,
-            0..n,
+            csr,
             &mut self.simd.scratch,
             &mut self.simd.out,
         );
-        self.record_lane_eval(lanes, 0, pack_ns);
-        self.simd.out.into_forces(sys.model.msite_coeff())
-    }
-
-    /// Sharded evaluation: snapshot the SoA store behind an `Arc`, fan the
-    /// fixed row partition out over the private pool, reduce in shard
-    /// order.
-    fn shard_eval(&mut self, sys: &System, rc: f64) -> Forces {
-        let params = PairParams::new(&sys.model, rc, rc + reach_pad(sys));
-        let tp = Instant::now();
-        let mut soa = SoaSites::default();
-        soa.pack(sys);
-        let pack_ns = tp.elapsed().as_nanos() as u64;
-        let n = sys.n_molecules();
-        let csr = match &self.list {
-            Some(l) => Arc::clone(&l.csr),
-            None => Arc::new(Csr::from_pairs(n, &[])),
-        };
-        let snap = Arc::new(Snapshot {
-            soa,
-            box_len: sys.box_len,
-            params,
-            csr,
-        });
-        let workers = self.shard_workers;
-        let pool = self.pool.get_or_insert_with(|| MwPool::new(workers));
-        self.simd.out.reset(n);
-        let (lanes, shards_run) = compute_sharded(pool, &snap, self.shards, &mut self.simd.out);
-        self.record_lane_eval(lanes, shards_run, pack_ns);
-        self.simd.out.into_forces(sys.model.msite_coeff())
-    }
-
-    fn record_lane_eval(&mut self, lanes: u64, shards: u64, pack_ns: u64) {
         self.stats.lanes += lanes;
-        self.stats.shards += shards;
         self.stats.pack_nanos += pack_ns;
         if let Some(o) = &self.obs {
             o.lanes.add(lanes);
-            o.shards.add(shards);
             o.pack_nanos.add(pack_ns);
         }
+        self.simd.out.into_forces(sys.model.msite_coeff())
     }
 }
 
@@ -761,12 +681,10 @@ mod tests {
         assert_eq!(ForceKernel::parse("cell_list"), Some(ForceKernel::CellList));
         assert_eq!(ForceKernel::parse("simd"), Some(ForceKernel::Simd));
         assert_eq!(ForceKernel::parse("SIMD"), Some(ForceKernel::Simd));
-        assert_eq!(ForceKernel::parse("sharded"), Some(ForceKernel::Sharded));
-        assert_eq!(ForceKernel::parse("shard"), Some(ForceKernel::Sharded));
+        assert_eq!(ForceKernel::parse("sharded"), None);
         assert_eq!(ForceKernel::parse("ewald"), None);
         assert_eq!(ForceKernel::default(), ForceKernel::CellList);
         assert_eq!(ForceKernel::Simd.name(), "simd");
-        assert_eq!(ForceKernel::Sharded.name(), "sharded");
     }
 
     #[test]
@@ -862,44 +780,6 @@ mod tests {
             assert_close(&naive, &simd, 1e-10);
             assert_eq!(engine.stats().rebuilds, 1);
             assert!(engine.stats().lanes > 0, "lane batches should be counted");
-        }
-    }
-
-    #[test]
-    fn sharded_matches_simd_bitwise_with_one_shard() {
-        let sys = System::lattice(TIP4P, 3, 0.997, 298.0, 9);
-        let rc = 4.0;
-        let mut serial = ForceEngine::new(ForceKernel::Simd);
-        let a = serial.compute(&sys, rc);
-        // One shard spans every row: the reduction tree is identical to the
-        // serial sweep, so the results must be bit-for-bit equal.
-        let mut sharded = ForceEngine::with_sharding(DEFAULT_SKIN, 1, 2);
-        let b = sharded.compute(&sys, rc);
-        assert_eq!(a.potential, b.potential);
-        assert_eq!(a.virial, b.virial);
-        assert_eq!(a.f, b.f);
-        assert_eq!(sharded.stats().shards, 1);
-    }
-
-    #[test]
-    fn sharded_is_bit_identical_across_worker_counts() {
-        let sys = System::lattice(TIP4P, 3, 0.997, 298.0, 13);
-        let rc = 4.0;
-        let naive = compute_forces(&sys, rc);
-        let mut reference: Option<Forces> = None;
-        for workers in [1usize, 2, 4] {
-            let mut engine = ForceEngine::with_sharding(DEFAULT_SKIN, DEFAULT_SHARDS, workers);
-            let out = engine.compute(&sys, rc);
-            assert_close(&naive, &out, 1e-10);
-            assert!(engine.stats().shards >= 1);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => {
-                    assert_eq!(r.potential, out.potential, "workers={workers}");
-                    assert_eq!(r.virial, out.virial, "workers={workers}");
-                    assert_eq!(r.f, out.f, "workers={workers}");
-                }
-            }
         }
     }
 

@@ -29,7 +29,6 @@ pub mod model;
 pub mod npt;
 pub mod properties;
 pub mod reference;
-pub mod shard;
 pub mod simd;
 pub mod simulate;
 pub mod soa;

@@ -101,8 +101,8 @@ pub fn equilibrate_npt(
 }
 
 /// [`equilibrate_npt`] driving a caller-supplied [`ForceEngine`], so a
-/// pre-configured kernel (explicit skin, simd, sharded with chosen shard and
-/// worker counts) is not silently overridden by the environment default, and
+/// pre-configured kernel (explicit skin, simd) is not silently overridden by
+/// the environment default, and
 /// the engine's stats/list survive for the caller to inspect or reuse.
 pub fn equilibrate_npt_with(
     sys: &mut System,

@@ -29,14 +29,11 @@
 //!    offset from O, PBC-independent), which telescopes over entries to
 //!    one O(n) pass: `Σₑ d_oo·fₑ = Σₑ dₑ·fₑ − Σ_{m,s} off_m(s)·F_{s,m}`
 //!    with `F_{s,m}` the slot forces this call accumulated — which is why
-//!    `out` must be freshly zeroed (both call sites comply).
+//!    `out` must be freshly zeroed (the one call site complies).
 //!
 //! Every stage visits pairs in CSR order and every reduction has a fixed
-//! association order, so the result for a given row range is a pure
-//! function of the inputs — the property the sharded kernel
-//! ([`crate::shard`]) builds its bit-identical-across-workers guarantee on
-//! (the correction term is linear in the slot forces, so per-shard
-//! corrections sum to the whole). Agreement with the naive oracle is
+//! association order, so the result is a pure function of the inputs.
+//! Agreement with the naive oracle is
 //! rounding-level (~1e-13 relative, vs the 1e-10 budget): lane math
 //! substitutes `1/√r²·r²` for `√r²`, division orders differ, and the
 //! virial is the telescoped rearrangement above, but no term is
@@ -47,13 +44,37 @@ use crate::soa::{SoaForces, SoaSites};
 use crate::system::min_image;
 use crate::units::COULOMB;
 use crate::vec3::F64x4;
-use std::ops::Range;
 
 /// Lane width of the batched stages.
 pub(crate) const LANES: usize = 4;
 
+/// CSR view of the Verlet list: `cols[row_start[i]..row_start[i+1]]` are
+/// molecule i's listed neighbors j (all j > i, ascending).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Csr {
+    pub row_start: Vec<u32>,
+    pub cols: Vec<u32>,
+}
+
+impl Csr {
+    /// Build from the canonical sorted (i < j) pair list.
+    pub(crate) fn from_pairs(n: usize, pairs: &[(u32, u32)]) -> Csr {
+        let mut row_start = vec![0u32; n + 1];
+        for &(i, _) in pairs {
+            row_start[i as usize + 1] += 1;
+        }
+        for r in 1..=n {
+            row_start[r] += row_start[r - 1];
+        }
+        Csr {
+            row_start,
+            cols: pairs.iter().map(|&(_, j)| j).collect(),
+        }
+    }
+}
+
 /// Interaction constants precomputed once per evaluation and shared by
-/// every lane and every shard.
+/// every lane.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PairParams {
     pub rc: f64,
@@ -102,7 +123,7 @@ impl PairParams {
 }
 
 /// Reusable scratch for the packed stages. Buffer capacity persists across
-/// evaluations (and across shards on the serial path), so steady-state
+/// evaluations, so steady-state
 /// evaluations allocate nothing. All staging is cursor-compacted into
 /// pre-sized buffers — write unconditionally, advance the cursor on the
 /// inclusion mask — so the hot loops carry no data-dependent branches.
@@ -136,37 +157,30 @@ pub(crate) struct LaneScratch {
     s_jj: Vec<u32>,
 }
 
-/// Evaluate CSR rows `rows` of the neighbor list, accumulating forces,
+/// Evaluate every row of the neighbor list `csr`, accumulating forces,
 /// potential, and virial into `out` (sized for the full system). Returns
 /// the number of 4-wide lane batches executed (the `water.kernel.lanes`
 /// counter).
-///
-/// The argument list is the full shard job description — every parameter
-/// is either borrowed system state or a per-shard in/out buffer, and the
-/// sharded path builds each from a different source, so bundling them into
-/// a struct would just move the same eight names one level down.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_rows(
     soa: &SoaSites,
     box_len: f64,
     p: &PairParams,
-    row_start: &[u32],
-    cols: &[u32],
-    rows: Range<usize>,
+    csr: &Csr,
     scratch: &mut LaneScratch,
     out: &mut SoaForces,
 ) -> u64 {
     let n = soa.n;
+    let (row_start, cols) = (&csr.row_start[..], &csr.cols[..]);
     let l = box_len;
     let inv_l = 1.0 / l;
     let guard = 0.4999 * l;
     let sites = &soa.sites[..];
 
     // Stage 1 scratch sizing: `cap` bounds the candidate count (all CSR
-    // entries in range), `site_cap` the packed site pairs (nine per
+    // entries), `site_cap` the packed site pairs (nine per
     // candidate). The `.max(len)` keeps buffers grow-only so steady-state
     // evaluations never reallocate.
-    let cap = (row_start[rows.end] - row_start[rows.start]) as usize;
+    let cap = row_start[n] as usize;
     let site_cap = 9 * cap;
     scratch.pi.resize(cap.max(scratch.pi.len()), 0);
     scratch.pj.resize(cap.max(scratch.pj.len()), 0);
@@ -219,7 +233,7 @@ pub(crate) fn compute_rows(
     // ~half-rejecting reach test costs no mispredicts. The guard fallback
     // branch stays: it fires ~never and predicts perfectly.
     let mut np = 0usize;
-    for i in rows {
+    for i in 0..n {
         let bi = &sites[i];
         let (xi, yi, zi) = (bi[0], bi[1], bi[2]);
         let i32_ = i as u32;
@@ -433,8 +447,7 @@ pub(crate) fn compute_rows(
     // Stage 3: telescoped molecular-virial correction (see module docs):
     // Σₑ d_oo·fₑ = Σₑ dₑ·fₑ − Σ_{m,s} off_m(s)·F_{s,m}. Slot 0 is O itself
     // (off = 0), so only the charge slots contribute. Linear in the slot
-    // forces, hence it relies on `out` having been zeroed before this call
-    // and sums exactly over shards.
+    // forces, hence it relies on `out` having been zeroed before this call.
     let mut corr = 0.0;
     for s in 1..4 {
         let (fx, fy, fz) = (
@@ -451,4 +464,17 @@ pub(crate) fn compute_rows(
     out.potential += (lj_pot.fold_sum() + lj_pot_tail) + (c_pot.fold_sum() + c_pot_tail);
 
     lane_batches
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn csr_matches_pair_list() {
+        let pairs = [(0u32, 2u32), (0, 3), (2, 3), (4, 5)];
+        let csr = Csr::from_pairs(6, &pairs);
+        assert_eq!(csr.row_start, vec![0, 2, 2, 3, 3, 4, 4]);
+        assert_eq!(csr.cols, vec![2, 3, 3, 5]);
+    }
 }

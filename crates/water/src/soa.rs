@@ -17,10 +17,9 @@
 //! [`SoaForces`] is the matching force accumulator: one flattened
 //! `fx/fy/fz` array of length `4·n` (slot-major: slot `s` of molecule `i`
 //! lives at index `s·n + i`, slots `[O, H1, H2, M]`), plus the potential
-//! and molecular-virial sums. Keeping shard outputs in this dense form
-//! makes the sharded kernel's index-ordered reduction a straight
-//! elementwise sum; [`SoaForces::into_forces`] performs the final M-site
-//! redistribution back to the AoS [`Forces`] the integrator consumes.
+//! and molecular-virial sums; [`SoaForces::into_forces`] performs the
+//! final M-site redistribution back to the AoS [`Forces`] the integrator
+//! consumes.
 
 use crate::forces::Forces;
 use crate::system::System;
@@ -84,18 +83,6 @@ pub struct SoaForces {
 }
 
 impl SoaForces {
-    /// A zeroed accumulator for `n` molecules.
-    pub fn zeroed(n: usize) -> SoaForces {
-        SoaForces {
-            n,
-            fx: vec![0.0; 4 * n],
-            fy: vec![0.0; 4 * n],
-            fz: vec![0.0; 4 * n],
-            potential: 0.0,
-            virial: 0.0,
-        }
-    }
-
     /// Reset to zero for `n` molecules, reusing the buffers.
     pub fn reset(&mut self, n: usize) {
         self.n = n;
@@ -105,28 +92,6 @@ impl SoaForces {
         }
         self.potential = 0.0;
         self.virial = 0.0;
-    }
-
-    /// Accumulate `other` into `self` elementwise.
-    ///
-    /// The sharded kernel calls this once per shard *in shard-index order*;
-    /// since each call is a fixed elementwise sweep, the floating-point
-    /// reduction order depends only on the shard partition — never on which
-    /// worker computed which shard — which is what makes sharded results
-    /// bit-identical across worker counts.
-    pub fn accumulate(&mut self, other: &SoaForces) {
-        assert_eq!(self.n, other.n, "shard output size mismatch");
-        for (a, b) in self.fx.iter_mut().zip(&other.fx) {
-            *a += b;
-        }
-        for (a, b) in self.fy.iter_mut().zip(&other.fy) {
-            *a += b;
-        }
-        for (a, b) in self.fz.iter_mut().zip(&other.fz) {
-            *a += b;
-        }
-        self.potential += other.potential;
-        self.virial += other.virial;
     }
 
     /// Fold into the AoS [`Forces`] form, redistributing the virtual-site
@@ -178,26 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_and_fold_redistribute_msite() {
-        let mut a = SoaForces::zeroed(2);
-        let mut b = SoaForces::zeroed(2);
+    fn fold_redistributes_msite() {
+        let mut a = SoaForces::default();
+        a.reset(2);
         a.fx[0] = 1.0; // O of molecule 0
         a.fx[3 * 2] = 4.0; // M of molecule 0
-        b.fx[3] = 2.0; // H1 of molecule 1 (slot 1 · n + 1)
-        a.potential = 1.5;
-        b.potential = 0.5;
-        b.virial = -1.0;
-        a.accumulate(&b);
-        assert_eq!(a.potential, 2.0);
-        assert_eq!(a.virial, -1.0);
+        a.fx[3] = 2.0; // H1 of molecule 1 (slot 1 · n + 1)
         let ac = 0.25;
         let f = a.into_forces(ac);
         assert_eq!(f.f[0][0].x, 1.0 + (1.0 - 2.0 * ac) * 4.0);
         assert_eq!(f.f[0][1].x, ac * 4.0);
         assert_eq!(f.f[1][1].x, 2.0);
-        let mut r = SoaForces::default();
-        r.reset(2);
-        assert_eq!(r.fx.len(), 8);
-        assert!(r.fx.iter().all(|&v| v == 0.0));
+        a.reset(2);
+        assert_eq!(a.fx.len(), 8);
+        assert!(a.fx.iter().all(|&v| v == 0.0));
     }
 }

@@ -1,9 +1,8 @@
 //! Property tests: every production kernel (cell-list scalar, lane-batched
-//! simd, sharded) must reproduce the naive O(n²) force loop exactly
-//! (≤ 1e-10 relative) on random periodic configurations — including
+//! simd) must reproduce the naive O(n²) force loop exactly (≤ 1e-10
+//! relative) on random periodic configurations — including
 //! boundary-straddling molecules, stale-list reuse within the skin, and
-//! post-NPT box rescales — and the sharded kernel must be bit-identical
-//! across worker counts.
+//! post-NPT box rescales.
 
 use proptest::prelude::*;
 use water_md::forces::{compute_forces, Forces};
@@ -16,11 +15,7 @@ use water_md::TIP4P;
 const TOL: f64 = 1e-10;
 
 /// The production kernels under test (the naive oracle is the reference).
-const KERNELS: [ForceKernel; 3] = [
-    ForceKernel::CellList,
-    ForceKernel::Simd,
-    ForceKernel::Sharded,
-];
+const KERNELS: [ForceKernel; 2] = [ForceKernel::CellList, ForceKernel::Simd];
 
 fn rel(a: f64, b: f64) -> f64 {
     (a - b).abs() / a.abs().max(b.abs()).max(1.0)
@@ -95,7 +90,7 @@ proptest! {
         density in 0.8f64..1.2,
         seed in 0u64..500,
         drift in 0.05f64..0.45,
-        kernel_ix in 0usize..3,
+        kernel_ix in 0usize..KERNELS.len(),
     ) {
         let kernel = KERNELS[kernel_ix];
         let skin = 1.0;
@@ -144,7 +139,7 @@ proptest! {
         seed in 500u64..1_000,
         mu in 0.9f64..1.1,
         explicit in 0usize..2,
-        kernel_ix in 0usize..3,
+        kernel_ix in 0usize..KERNELS.len(),
     ) {
         let kernel = KERNELS[kernel_ix];
         let mut sys = System::lattice_count(TIP4P, n, density, 300.0, seed);
@@ -165,40 +160,5 @@ proptest! {
             "{} post-rescale diverged (mu={:.3}, explicit={}): {:.3e}",
             kernel.name(), mu, explicit, err
         );
-    }
-
-    /// Sharded evaluation is a pure function of the shard partition, never
-    /// of the worker count: 1, 2, and 4 workers produce bit-identical
-    /// forces, energy, and virial on random configurations.
-    #[test]
-    fn sharded_worker_count_is_bit_invariant(
-        n in 8usize..=96,
-        density in 0.7f64..1.25,
-        seed in 1_000u64..1_500,
-        shards in 1usize..=8,
-    ) {
-        let sys = System::lattice_count(TIP4P, n, density, 300.0, seed);
-        let rc = (sys.box_len / 2.0).min(5.0);
-        let mut reference: Option<Forces> = None;
-        for workers in [1usize, 2, 4] {
-            let mut engine = ForceEngine::with_sharding(1.0, shards, workers);
-            let out = engine.compute(&sys, rc);
-            match &reference {
-                None => {
-                    // Anchor the partition's correctness against the oracle
-                    // once; the remaining worker counts must match bitwise.
-                    let err = max_rel_err(&out, &compute_forces(&sys, rc));
-                    prop_assert!(err <= TOL, "sharded vs naive diverged: {:.3e}", err);
-                    reference = Some(out);
-                }
-                Some(r) => {
-                    prop_assert!(r.potential.to_bits() == out.potential.to_bits(),
-                        "potential differs at workers={workers}");
-                    prop_assert!(r.virial.to_bits() == out.virial.to_bits(),
-                        "virial differs at workers={workers}");
-                    prop_assert!(r.f == out.f, "forces differ at workers={workers}");
-                }
-            }
-        }
     }
 }
