@@ -907,10 +907,29 @@ mod tests {
     #[test]
     fn injected_fault_surfaces_as_worker_lost() {
         let pool = MwPool::with_options(2, FaultPlan::from_die_after(&[Some(0), None]), 0, None);
+        // Force worker 0 to take a job: the first job holds whichever
+        // worker takes it until the gate drops. If worker 1 holds it, worker
+        // 0 must take the second job and die; if worker 0 takes the first
+        // job, it dies at once and worker 1 runs the second.
+        let (gate, gated) = bounded::<()>(0);
+        let held = pool.submit(move |w| {
+            let _ = gated.recv();
+            w
+        });
+        let second = pool.submit(|w| w);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while pool.workers_lost() == 0 {
+            assert!(Instant::now() < deadline, "worker 0 never took a job");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(gate);
         let mut lost = 0;
         let mut ok = 0;
-        for _ in 0..20 {
-            match pool.submit(|w| w).recv() {
+        let outcomes = [held.recv(), second.recv()]
+            .into_iter()
+            .chain((2..20).map(|_| pool.submit(|w| w).recv()));
+        for outcome in outcomes {
+            match outcome {
                 Ok(_) => ok += 1,
                 Err(WorkerLost) => lost += 1,
             }

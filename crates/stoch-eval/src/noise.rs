@@ -9,7 +9,11 @@
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::objective::Objective;
-use crate::rng::PerSampleRng;
+use crate::rng::{child_seed, sample_word, word_to_unit, PerSampleRng};
+
+/// Lane width of [`NoiseDistribution::observe_block`]'s word stage:
+/// eight `u64`/`f64` lanes fill one 512-bit vector (or two 256-bit ones).
+const LANES: usize = 8;
 
 /// How the inherent (per-unit-time) noise magnitude varies with location.
 pub trait NoiseModel: Sync {
@@ -292,7 +296,9 @@ impl NoiseDistribution {
     /// unit variance where it exists, heavy tails / spikes as configured.
     ///
     /// Pure in `(seed, index)`: the draw is identical regardless of how
-    /// extensions were batched or which worker executed them.
+    /// extensions were batched or which worker executed them. Streams draw
+    /// through [`observe_block`](Self::observe_block); this scalar form is
+    /// its reference.
     #[inline]
     pub fn unit_variate(&self, seed: u64, index: u64) -> f64 {
         let mut rng = PerSampleRng::new(seed, index);
@@ -322,7 +328,12 @@ impl NoiseDistribution {
     /// deviation `unit_sd`, at stream-local virtual time `t` (for drift).
     #[inline]
     pub fn observe(&self, seed: u64, index: u64, t: f64, f: f64, unit_sd: f64) -> f64 {
-        let z = self.unit_variate(seed, index);
+        self.shift(t, f, unit_sd, self.unit_variate(seed, index))
+    }
+
+    /// Scale and shift a unit variate `z` into an observation at time `t`.
+    #[inline]
+    fn shift(&self, t: f64, f: f64, unit_sd: f64, z: f64) -> f64 {
         match self.drift {
             None => f + unit_sd * z,
             Some(d) => {
@@ -330,6 +341,80 @@ impl NoiseDistribution {
                 let sigma_t = (unit_sd * (1.0 + d.sigma * phase.sin())).max(0.0);
                 let bias_t = unit_sd * d.bias * phase.cos();
                 f + bias_t + sigma_t * z
+            }
+        }
+    }
+
+    /// Block form of [`observe`](Self::observe): `out[j]` is, bit for bit,
+    /// `observe(seed, first + j, (first + j + 1) · dt_sample, f, unit_sd)`
+    /// — sample `first + j` observed at the end of its own time slice.
+    ///
+    /// Samples are drawn eight at a time. Word `k` of a sample's
+    /// [`PerSampleRng`] is a pure function of `(seed, index, k)`, so the
+    /// lanes compute the words the scalar draw would consume, in the same
+    /// layout: the contamination coin at word 0 iff `eps > 0`, then the
+    /// first polar pair at words `k0, k0 + 1` (`k0` = 1 with a coin, else
+    /// 0). Each sample then finishes on its own — the libm `ln`/`powf`
+    /// call, standardization, spike and shift — with the scalar draw's
+    /// operations in its order, so no result bit changes. A sample whose
+    /// pair falls outside the unit disc (~21% of samples) continues scalar
+    /// from word `k0 + 2`, exactly where the scalar rejection loop would.
+    pub fn observe_block(
+        &self,
+        seed: u64,
+        first: u64,
+        dt_sample: f64,
+        f: f64,
+        unit_sd: f64,
+        out: &mut [f64],
+    ) {
+        let t_core = self.nu.map(|nu| TCore {
+            nu,
+            exponent: -2.0 / nu,
+            // Standardize to unit variance where it exists: Var[t_ν] = ν/(ν−2).
+            scale: (nu > 2.0).then(|| ((nu - 2.0) / nu).sqrt()),
+        });
+        let k0 = u64::from(self.eps > 0.0);
+        for (c, chunk) in out.chunks_mut(LANES).enumerate() {
+            let lane0 = first.wrapping_add((c * LANES) as u64);
+            // Lane stage: the words of every sample's coin and first polar
+            // pair. Without contamination word 0 is the pair's `u` and the
+            // coin goes unused.
+            let mut base = [0u64; LANES];
+            let (mut coin, mut u, mut w) = ([0.0; LANES], [0.0; LANES], [0.0; LANES]);
+            for l in 0..LANES {
+                base[l] = child_seed(seed, lane0.wrapping_add(l as u64));
+                coin[l] = word_to_unit(sample_word(base[l], 0));
+                let uu = word_to_unit(sample_word(base[l], k0)) * 2.0 - 1.0;
+                let vv = word_to_unit(sample_word(base[l], k0 + 1)) * 2.0 - 1.0;
+                u[l] = uu;
+                w[l] = uu * uu + vv * vv;
+            }
+            // Per sample: finish the draw in the scalar draw's operation
+            // order, continuing a rejected pair scalar from word k0 + 2.
+            for (j, x) in chunk.iter_mut().enumerate() {
+                let (u, w) = (u[j], w[j]);
+                let accepted = w > 0.0 && w < 1.0;
+                let rest = || PerSampleRng::resume(base[j], k0 + 2);
+                let z = match t_core {
+                    None if accepted => u * (-2.0 * w.ln() / w).sqrt(),
+                    None => rest().normal(),
+                    Some(t) => {
+                        let raw = if accepted {
+                            u * (t.nu * (w.powf(t.exponent) - 1.0) / w).sqrt()
+                        } else {
+                            rest().student_t(t.nu)
+                        };
+                        t.scale.map_or(raw, |scale| raw * scale)
+                    }
+                };
+                let z = if k0 == 1 && coin[j] < self.eps {
+                    z * self.spike
+                } else {
+                    z
+                };
+                let t = lane0.wrapping_add(j as u64 + 1) as f64 * dt_sample;
+                *x = self.shift(t, f, unit_sd, z);
             }
         }
     }
@@ -389,6 +474,17 @@ impl NoiseDistribution {
             drift,
         })
     }
+}
+
+/// Student-t constants of [`NoiseDistribution::observe_block`], computed
+/// once per block instead of once per sample.
+#[derive(Debug, Clone, Copy)]
+struct TCore {
+    nu: f64,
+    /// `−2/ν`, the polar method's `powf` exponent.
+    exponent: f64,
+    /// `√((ν−2)/ν)` for `ν > 2`; `None` leaves the raw t variate.
+    scale: Option<f64>,
 }
 
 /// Convenience: evaluate `σ0` for a noise model over an objective at `x`.

@@ -69,13 +69,19 @@ impl PerSampleRng {
         }
     }
 
+    /// The generator for a sample whose base is `base`
+    /// (`child_seed(seed, index)`), positioned at word `ctr` — how a block
+    /// draw continues a sample scalar after its lane stage used words
+    /// `0..ctr`.
+    #[inline]
+    pub(crate) fn resume(base: u64, ctr: u64) -> Self {
+        PerSampleRng { base, ctr }
+    }
+
     /// Next raw 64-bit word (SplitMix64 sequence rooted at the sample base).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let z = splitmix64(
-            self.base
-                .wrapping_add(self.ctr.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
+        let z = sample_word(self.base, self.ctr);
         self.ctr += 1;
         z
     }
@@ -83,7 +89,7 @@ impl PerSampleRng {
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        word_to_unit(self.next_u64())
     }
 
     /// Uniform draw in `[-1, 1)`.
@@ -120,6 +126,19 @@ impl PerSampleRng {
             }
         }
     }
+}
+
+/// Word `k` of the per-sample stream rooted at `base`: what the `k`-th
+/// [`PerSampleRng::next_u64`] call returns (counting from 0).
+#[inline]
+pub(crate) fn sample_word(base: u64, k: u64) -> u64 {
+    splitmix64(base.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+}
+
+/// A raw word as a uniform in `[0, 1)` with 53 bits of precision.
+#[inline]
+pub(crate) fn word_to_unit(word: u64) -> f64 {
+    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A small utility that hands out a sequence of independent child RNGs.

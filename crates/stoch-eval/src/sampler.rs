@@ -543,44 +543,63 @@ impl HostileStream {
         self.est
     }
 
-    fn ingest(&mut self, x: f64) {
-        if !x.is_finite() {
-            // Quarantine at ingestion, exactly like EmpiricalStream: one NaN
-            // through the accumulators would corrupt them forever.
-            self.nonfinite += 1;
-            return;
-        }
-        // Outlier test against the *pre-update* running estimate: a spike
-        // must not first inflate the σ it is measured against.
-        if self.moments.count() >= OUTLIER_MIN_N {
-            let sd = self.moments.variance().sqrt();
-            if sd.is_finite() && sd > 0.0 && (x - self.moments.mean()).abs() > 6.0 * sd {
-                self.outliers += 1;
+    /// Fold a block of samples in arrival order. The finite ones are
+    /// compacted to the front of `xs` on the way, for the block means.
+    fn ingest(&mut self, xs: &mut [f64]) {
+        let mut kept = 0;
+        for i in 0..xs.len() {
+            let x = xs[i];
+            if !x.is_finite() {
+                // Quarantine at ingestion, exactly like EmpiricalStream: one
+                // NaN through the accumulators would corrupt them forever.
+                self.nonfinite += 1;
+                continue;
             }
+            // Outlier test against the *pre-update* running estimate: a
+            // spike must not first inflate the σ it is measured against.
+            if self.moments.count() >= OUTLIER_MIN_N {
+                let sd = self.moments.variance().sqrt();
+                if sd.is_finite() && sd > 0.0 && (x - self.moments.mean()).abs() > 6.0 * sd {
+                    self.outliers += 1;
+                }
+            }
+            self.moments.push(x);
+            xs[kept] = x;
+            kept += 1;
         }
-        self.moments.push(x);
-        self.blocks.push(x);
+        self.blocks.push_slice(&xs[..kept]);
     }
 }
+
+/// Unit samples [`HostileStream::extend`] draws and folds per block.
+const DRAW_BLOCK: usize = 64;
 
 impl SampleStream for HostileStream {
     fn extend(&mut self, dt: f64) {
         assert!(dt > 0.0);
-        let batches = (dt / self.dt_sample).ceil().max(1.0) as u64;
+        let mut left = (dt / self.dt_sample).ceil().max(1.0) as u64;
         let unit_sd = self.sigma0 / self.dt_sample.sqrt();
-        for _ in 0..batches {
-            let idx = self.drawn;
-            self.drawn += 1;
-            let x = if self.sigma0 > 0.0 {
-                // Stream-local virtual time of this sample's end, for drift.
-                let t = (idx + 1) as f64 * self.dt_sample;
-                self.dist.observe(self.seed, idx, t, self.f, unit_sd)
+        let mut buf = [0.0; DRAW_BLOCK];
+        while left > 0 {
+            let n = left.min(DRAW_BLOCK as u64) as usize;
+            let block = &mut buf[..n];
+            if self.sigma0 > 0.0 {
+                self.dist.observe_block(
+                    self.seed,
+                    self.drawn,
+                    self.dt_sample,
+                    self.f,
+                    unit_sd,
+                    block,
+                );
             } else {
                 // Zero noise stays exactly deterministic: drift bias scales
                 // with the unit σ, so it vanishes too.
-                self.f
-            };
-            self.ingest(x);
+                block.fill(self.f);
+            }
+            self.drawn += n as u64;
+            left -= n as u64;
+            self.ingest(block);
         }
     }
 
@@ -1212,19 +1231,62 @@ mod tests {
         assert!(rep.outlier_frac < 0.001, "{rep:?}");
     }
 
+    /// Every shape the block draw tells apart: Gaussian or Student-t core
+    /// (standardized for ν > 2, raw for ν ≤ 2), the contamination coin on
+    /// or off, drift on or off.
+    const HOSTILE_SHAPES: [&str; 12] = [
+        "gaussian",
+        "contaminated:eps=0.05:k=20",
+        "student_t:nu=1",
+        "student_t:nu=1:eps=0.05:k=20",
+        "student_t:nu=2",
+        "student_t:nu=2:eps=0.05:k=20",
+        "student_t:nu=3",
+        "student_t:nu=3:eps=0.05:k=20",
+        "student_t:nu=10",
+        "student_t:nu=10:eps=0.05:k=20",
+        "drift:sigma=0.5:bias=0.5:period=16",
+        "student_t:nu=3:eps=0.05:k=20:sigma=0.5:bias=0.5:period=16",
+    ];
+
+    fn state_bytes(s: &HostileStream) -> Vec<u8> {
+        let mut w = Writer::new();
+        s.save_state(&mut w).expect("save");
+        w.into_bytes()
+    }
+
     #[test]
     fn hostile_draws_do_not_depend_on_batching() {
-        let dist = NoiseDistribution::student_t(3.0).with_contamination(0.05, 20.0);
-        let mut one = HostileStream::new(1.0, 5.0, 1.0, 22, dist, EstimatorChoice::Welford);
-        let mut many = one.clone();
-        one.extend(64.0);
-        for _ in 0..64 {
-            many.extend(1.0);
+        // Extension sizes straddling the 8-wide lanes and the 64-sample
+        // draw block; run in sequence, later ones start mid-lane.
+        let sizes = [1u64, 7, 8, 9, 63, 64, 65, 1000];
+        let dt = 0.5;
+        for spec in HOSTILE_SHAPES {
+            let dist = NoiseDistribution::parse(spec).unwrap();
+            let est = EstimatorChoice::MedianOfMeans { blocks: 5 };
+            let fresh = HostileStream::new(1.0, 5.0, dt, 22, dist, est);
+            // Oracle: the scalar per-sample draw folded one sample at a time.
+            let mut oracle = fresh.clone();
+            let unit_sd = 5.0 / dt.sqrt();
+            let mut batched = fresh.clone();
+            let mut single = fresh;
+            for &n in &sizes {
+                for _ in 0..n {
+                    let i = oracle.drawn;
+                    let t = (i + 1) as f64 * dt;
+                    let mut x = [dist.observe(22, i, t, 1.0, unit_sd)];
+                    oracle.drawn += 1;
+                    oracle.ingest(&mut x);
+                }
+                batched.extend(n as f64 * dt);
+                for _ in 0..n {
+                    single.extend(dt);
+                }
+                let want = state_bytes(&oracle);
+                assert_eq!(state_bytes(&batched), want, "{spec}: extend({n})");
+                assert_eq!(state_bytes(&single), want, "{spec}: {n} one-sample extends");
+            }
         }
-        let (a, b) = (one.estimate(), many.estimate());
-        assert_eq!(a.value.to_bits(), b.value.to_bits());
-        assert_eq!(a.std_err.to_bits(), b.std_err.to_bits());
-        assert_eq!(a.time.to_bits(), b.time.to_bits());
     }
 
     #[test]
