@@ -4,10 +4,16 @@
 //! degradation... attributed to the I/O").
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mw_framework::{MwPool, ThreadedBackend};
+use mw_framework::{
+    default_respawn_budget, FaultPlan, MwPool, ProcessBackend, RetryPolicy, ThreadedBackend,
+};
 use std::hint::black_box;
 use stoch_eval::backend::{SamplingBackend, StreamJob};
-use stoch_eval::sampler::GaussianStream;
+use stoch_eval::codec::crc32;
+use stoch_eval::functions::Rosenbrock;
+use stoch_eval::noise::ConstantNoise;
+use stoch_eval::objective::StochasticObjective;
+use stoch_eval::sampler::{GaussianStream, Noisy};
 
 fn bench_mw(c: &mut Criterion) {
     let pool = MwPool::new(4);
@@ -27,6 +33,38 @@ fn bench_mw(c: &mut Criterion) {
                 })
                 .collect();
             black_box(backend.extend_batch(jobs))
+        })
+    });
+
+    // The checksum every wire frame pays twice (encode and verify).
+    let page: Vec<u8> = (0..4096u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    c.bench_function("crc32_4k", |b| {
+        b.iter(|| black_box(crc32(black_box(&page))))
+    });
+
+    // One MN round at d = 50 on worker processes: d + 2 = 52 empirical
+    // Gaussian streams (the shape of the repository benchmark's
+    // mn_d50_process) over 2 workers.
+    let obj = Noisy::empirical(Rosenbrock::new(50), ConstantNoise(5.0), 0.02);
+    let process = ProcessBackend::with_options(
+        2,
+        FaultPlan::none(),
+        RetryPolicy::default(),
+        default_respawn_budget(2),
+        None,
+    );
+    c.bench_function("process_extend_batch_52_jobs", |b| {
+        b.iter(|| {
+            let jobs = (0..52)
+                .map(|i| StreamJob {
+                    slot: i,
+                    dt: 0.5,
+                    stream: obj.open(&[0.1 * i as f64; 50], i as u64),
+                })
+                .collect();
+            black_box(process.extend_batch(jobs))
         })
     });
 }

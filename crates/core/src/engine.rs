@@ -596,6 +596,8 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// Finish the run, consuming the engine.
     pub fn finish(self, stop: StopReason) -> RunResult {
         let best = self.ordering().min;
+        let mut trace = self.trace;
+        trace.shrink_to_fit();
         let mut notes = self.notes;
         for n in crate::result::notes_from_backend(&*self.backend) {
             if !notes.contains(&n) {
@@ -609,7 +611,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             elapsed: self.clock.elapsed(),
             total_sampling: self.total_sampling,
             stop,
-            trace: self.trace,
+            trace,
             metrics: self.metrics.as_ref().map(EngineMetrics::summary),
             notes,
         }

@@ -48,6 +48,11 @@ impl Trace {
         self.points.push(p);
     }
 
+    /// Release spare capacity, so a finished run holds exactly its points.
+    pub fn shrink_to_fit(&mut self) {
+        self.points.shrink_to_fit();
+    }
+
     /// All records, in iteration order.
     pub fn points(&self) -> &[TracePoint] {
         &self.points

@@ -1,7 +1,7 @@
 //! The wire frame: a versioned, CRC-guarded envelope around every message
 //! (DESIGN.md §12).
 //!
-//! Layout (all integers little-endian, built with `stoch-eval::codec`):
+//! Layout (all integers little-endian, the `stoch-eval::codec` conventions):
 //!
 //! ```text
 //! magic   u32   0x4658_534E ("NSXF")
@@ -19,7 +19,7 @@
 //! surface as a silently wrong payload (the CRC covers header and payload
 //! alike, and payload length is bounded before any allocation).
 
-use stoch_eval::codec::{crc32, Writer};
+use stoch_eval::codec::crc32;
 
 /// Frame magic: `"NSXF"` read as a little-endian `u32`.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"NSXF");
@@ -169,22 +169,36 @@ impl Frame {
 
     /// Encoded size in bytes (header + payload + CRC).
     pub fn encoded_len(&self) -> usize {
-        HEADER_LEN + self.payload.len() + CRC_LEN
+        Self::encoded_len_for(self.payload.len())
+    }
+
+    /// Encoded size of a frame carrying `payload_len` payload bytes.
+    pub fn encoded_len_for(payload_len: usize) -> usize {
+        HEADER_LEN + payload_len + CRC_LEN
     }
 
     /// Serialize to wire bytes (see the module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(FRAME_MAGIC);
-        w.put_u32(WIRE_VERSION);
-        w.put_u8(self.kind as u8);
-        w.put_u64(self.seq);
-        w.put_u64(self.payload.len() as u64);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&self.payload);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let mut bytes = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut bytes);
         bytes
+    }
+
+    /// Append this frame's wire bytes to `out`. Encoding several frames
+    /// back to back into one buffer yields exactly the concatenation of
+    /// their [`encode`](Self::encode)s, which is how a batch becomes one
+    /// write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(self.encoded_len());
+        out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+        out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        out.push(self.kind as u8);
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&self.payload);
+        let crc = crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
     }
 }
 
@@ -284,6 +298,34 @@ mod tests {
         assert_eq!(fb.try_frame().unwrap(), Some(f));
         assert_eq!(fb.try_frame().unwrap(), None);
         assert_eq!(fb.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn wire_bytes_are_pinned() {
+        // Header, payload and CRC-32 spelled out byte by byte (the CRC is
+        // zlib's `crc32` of the first 28 bytes): any change here is a wire
+        // format change and needs a WIRE_VERSION bump.
+        let f = Frame::new(FrameKind::Job, 0x0102_0304_0506_0708, b"abc".to_vec());
+        let mut expected = b"NSXF".to_vec();
+        expected.extend([1, 0, 0, 0, 1]);
+        expected.extend([8, 7, 6, 5, 4, 3, 2, 1]);
+        expected.extend([3, 0, 0, 0, 0, 0, 0, 0]);
+        expected.extend(b"abc");
+        expected.extend(0xCECB_79E7u32.to_le_bytes());
+        assert_eq!(f.encode(), expected);
+    }
+
+    #[test]
+    fn encode_into_appends_the_same_bytes() {
+        let a = frame(1, b"first");
+        let b = Frame::new(FrameKind::Result, 2, vec![7u8; 40]);
+        let mut out = vec![0xEE];
+        a.encode_into(&mut out);
+        b.encode_into(&mut out);
+        let mut expected = vec![0xEE];
+        expected.extend(a.encode());
+        expected.extend(b.encode());
+        assert_eq!(out, expected);
     }
 
     #[test]

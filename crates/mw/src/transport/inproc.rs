@@ -40,10 +40,12 @@ pub fn channel_pair() -> (ChannelTransport, ChannelTransport) {
 }
 
 impl Transport for ChannelTransport {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.tx
-            .send(frame.encode())
-            .map_err(|_| TransportError::Closed)
+    fn send(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        let mut bytes = Vec::with_capacity(frames.iter().map(Frame::encoded_len).sum());
+        for frame in frames {
+            frame.encode_into(&mut bytes);
+        }
+        self.tx.send(bytes).map_err(|_| TransportError::Closed)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
@@ -97,7 +99,7 @@ mod tests {
     fn frames_round_trip_in_order() {
         let (mut a, mut b) = channel_pair();
         for seq in 0..5u64 {
-            a.send(&Frame::new(FrameKind::Job, seq, vec![seq as u8; 3]))
+            a.send(&[Frame::new(FrameKind::Job, seq, vec![seq as u8; 3])])
                 .unwrap();
         }
         for seq in 0..5u64 {
@@ -111,8 +113,9 @@ mod tests {
     #[test]
     fn both_directions_work() {
         let (mut a, mut b) = channel_pair();
-        a.send(&Frame::new(FrameKind::Job, 1, vec![1])).unwrap();
-        b.send(&Frame::new(FrameKind::Result, 2, vec![2])).unwrap();
+        a.send(&[Frame::new(FrameKind::Job, 1, vec![1])]).unwrap();
+        b.send(&[Frame::new(FrameKind::Result, 2, vec![2])])
+            .unwrap();
         assert_eq!(
             b.recv_timeout(Duration::from_millis(100))
                 .unwrap()
@@ -138,7 +141,7 @@ mod tests {
             Err(TransportError::Closed)
         );
         assert_eq!(
-            a.send(&Frame::new(FrameKind::Shutdown, 0, vec![])),
+            a.send(&[Frame::new(FrameKind::Shutdown, 0, vec![])]),
             Err(TransportError::Closed)
         );
     }

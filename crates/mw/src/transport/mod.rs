@@ -84,8 +84,10 @@ impl From<FrameError> for TransportError {
 /// explicitly by [`FaultedTransport`], and recovery lives one layer up in
 /// [`ProcessBackend`]'s retry loop.
 pub trait Transport: Send {
-    /// Send one frame. [`TransportError::Closed`] when the peer is gone.
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError>;
+    /// Send `frames` in order, as one write where the link allows: the
+    /// byte stream is the concatenation of their encodings, whatever the
+    /// batching. [`TransportError::Closed`] when the peer is gone.
+    fn send(&mut self, frames: &[Frame]) -> Result<(), TransportError>;
 
     /// Receive the next frame, waiting at most `timeout`. `Ok(None)` on
     /// timeout (the link is healthy, nothing arrived yet).
@@ -93,8 +95,8 @@ pub trait Transport: Send {
 }
 
 impl<T: Transport + ?Sized> Transport for Box<T> {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        (**self).send(frame)
+    fn send(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        (**self).send(frames)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
@@ -106,13 +108,17 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
 /// partitioned (black-holed window), or reordered sends. Inbound frames are
 /// untouched — the partition is *half-open*, the nastier case for a master
 /// that must decide whether a silent worker is dead or unreachable.
+///
+/// Faults are keyed by each frame's own send index, so a batch suffers
+/// exactly what the same frames sent one by one would: the worker sees the
+/// same frames in the same order.
 pub struct FaultedTransport<T> {
     inner: T,
     net: NetFault,
     sent: u64,
-    /// A frame held back by `reorder`: delivered after the next send. If no
-    /// further send happens it is never delivered — a reorder at the tail of
-    /// a burst degenerates to a drop, which the retry layer absorbs.
+    /// A frame held back by `reorder`: delivered after the next frame that
+    /// goes out. If none does it is never delivered — a reorder at the
+    /// tail of a burst degenerates to a drop, which the retry layer absorbs.
     held: Option<Frame>,
 }
 
@@ -135,26 +141,41 @@ impl<T: Transport> FaultedTransport<T> {
 }
 
 impl<T: Transport> Transport for FaultedTransport<T> {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        let idx = self.sent;
-        self.sent += 1;
-        if self.net.swallows(idx) {
-            // Dropped or partitioned: the bytes never leave the master. The
-            // caller sees success — exactly what a lost datagram looks like.
+    fn send(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        let first = self.sent;
+        self.sent += frames.len() as u64;
+        if self.net.is_none() {
+            return self.inner.send(frames);
+        }
+        // Apply each frame's fault by its own send index, forwarding the
+        // survivors together and flushing them before any injected delay so
+        // the delay lands where it would have between single sends.
+        let mut out: Vec<Frame> = Vec::with_capacity(frames.len() + 1);
+        for (idx, frame) in (first..).zip(frames) {
+            if self.net.swallows(idx) {
+                // Dropped or partitioned: the bytes never leave the master.
+                // The caller sees success — exactly what a lost datagram
+                // looks like.
+                continue;
+            }
+            if let Some(d) = self.net.delay_for(idx) {
+                if !out.is_empty() {
+                    self.inner.send(&out)?;
+                    out.clear();
+                }
+                std::thread::sleep(d);
+            }
+            if self.net.reorder_at == Some(idx) {
+                self.held = Some(frame.clone());
+                continue;
+            }
+            out.push(frame.clone());
+            out.extend(self.held.take());
+        }
+        if out.is_empty() {
             return Ok(());
         }
-        if let Some(d) = self.net.delay_for(idx) {
-            std::thread::sleep(d);
-        }
-        if self.net.reorder_at == Some(idx) {
-            self.held = Some(frame.clone());
-            return Ok(());
-        }
-        self.inner.send(frame)?;
-        if let Some(h) = self.held.take() {
-            self.inner.send(&h)?;
-        }
-        Ok(())
+        self.inner.send(&out)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
@@ -165,6 +186,36 @@ impl<T: Transport> Transport for FaultedTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::Delay;
+
+    /// Drain everything `rx` has received, as seqs.
+    fn received(rx: &mut ChannelTransport) -> Vec<u64> {
+        std::iter::from_fn(|| {
+            rx.recv_timeout(Duration::from_millis(50))
+                .unwrap()
+                .map(|f| f.seq)
+        })
+        .collect()
+    }
+
+    fn job(seq: u64) -> Frame {
+        Frame::new(FrameKind::Job, seq, vec![seq as u8])
+    }
+
+    /// Send jobs `0..n` through a `FaultedTransport` in `send` calls of the
+    /// given sizes; return the seqs the far end receives.
+    fn delivered(net: NetFault, batches: &[usize]) -> Vec<u64> {
+        let (mut a, b) = channel_pair();
+        let mut faulted = FaultedTransport::new(b, net);
+        let mut seq = 0u64;
+        for &len in batches {
+            let frames: Vec<Frame> = (seq..seq + len as u64).map(job).collect();
+            faulted.send(&frames).unwrap();
+            seq += len as u64;
+        }
+        assert_eq!(faulted.sent(), seq);
+        received(&mut a)
+    }
 
     #[test]
     fn faulted_transport_drops_delays_and_reorders() {
@@ -176,18 +227,10 @@ mod tests {
         };
         let mut faulted = FaultedTransport::new(b, net);
         for seq in 0..4u64 {
-            faulted
-                .send(&Frame::new(FrameKind::Job, seq, vec![seq as u8]))
-                .unwrap();
+            faulted.send(&[job(seq)]).unwrap();
         }
         // Frame 1 dropped; frame 2 held and delivered after frame 3.
-        let got: Vec<u64> = std::iter::from_fn(|| {
-            a.recv_timeout(Duration::from_millis(50))
-                .unwrap()
-                .map(|f| f.seq)
-        })
-        .collect();
-        assert_eq!(got, vec![0, 3, 2]);
+        assert_eq!(received(&mut a), vec![0, 3, 2]);
     }
 
     #[test]
@@ -200,16 +243,125 @@ mod tests {
         let mut faulted = FaultedTransport::new(b, net);
         for seq in 0..4u64 {
             faulted
-                .send(&Frame::new(FrameKind::Job, seq, vec![]))
+                .send(&[Frame::new(FrameKind::Job, seq, vec![])])
                 .unwrap();
         }
-        let got: Vec<u64> = std::iter::from_fn(|| {
-            a.recv_timeout(Duration::from_millis(50))
-                .unwrap()
-                .map(|f| f.seq)
-        })
-        .collect();
-        assert_eq!(got, vec![0, 3]);
+        assert_eq!(received(&mut a), vec![0, 3]);
         assert_eq!(faulted.sent(), 4);
+    }
+
+    #[test]
+    fn batching_is_invisible_under_every_net_fault() {
+        let faults = [
+            NetFault::default(),
+            NetFault {
+                drop_at: Some(1),
+                ..NetFault::default()
+            },
+            NetFault {
+                partition: Some((2, 3)),
+                ..NetFault::default()
+            },
+            NetFault {
+                reorder_at: Some(2),
+                ..NetFault::default()
+            },
+            // The last frame of the first four-frame batch: held across
+            // the send boundary and delivered after the next batch's head.
+            NetFault {
+                reorder_at: Some(3),
+                ..NetFault::default()
+            },
+            // The last frame of all: held with no successor, so never sent.
+            NetFault {
+                reorder_at: Some(7),
+                ..NetFault::default()
+            },
+            NetFault {
+                delay: Some(Delay {
+                    after: 5,
+                    millis: 1,
+                }),
+                drop_at: Some(6),
+                reorder_at: Some(4),
+                ..NetFault::default()
+            },
+        ];
+        for net in faults {
+            let one_by_one = delivered(net, &[1; 8]);
+            for batches in [&[8][..], &[4, 4], &[3, 5], &[2, 1, 5]] {
+                assert_eq!(
+                    delivered(net, batches),
+                    one_by_one,
+                    "{net:?} split {batches:?}"
+                );
+            }
+        }
+        assert_eq!(
+            delivered(
+                NetFault {
+                    reorder_at: Some(3),
+                    ..NetFault::default()
+                },
+                &[4, 4]
+            ),
+            vec![0, 1, 2, 4, 3, 5, 6, 7]
+        );
+        assert_eq!(
+            delivered(
+                NetFault {
+                    reorder_at: Some(7),
+                    ..NetFault::default()
+                },
+                &[8]
+            ),
+            vec![0, 1, 2, 3, 4, 5, 6]
+        );
+    }
+
+    #[test]
+    fn serve_answers_a_batch_in_order() {
+        use stoch_eval::objective::SampleStream;
+        use stoch_eval::sampler::GaussianStream;
+
+        let (mut master, worker) = channel_pair();
+        let handle = std::thread::spawn(move || {
+            worker::serve(worker, crate::faults::WorkerFault::default())
+        });
+        let hello = master.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(hello.map(|f| f.kind), Some(FrameKind::Hello));
+
+        let streams: Vec<GaussianStream> = (0..40u64)
+            .map(|i| GaussianStream::new(i as f64, 1.0, i))
+            .collect();
+        let frames: Vec<Frame> = streams
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let mut w = stoch_eval::codec::Writer::new();
+                s.save_state(&mut w).unwrap();
+                let payload = wire::encode_job("gaussian.v1", i as u64, 2.0, &w.into_bytes());
+                Frame::new(FrameKind::Job, 1000 + i as u64, payload)
+            })
+            .collect();
+        master.send(&frames).unwrap();
+        for (i, mut local) in streams.into_iter().enumerate() {
+            let reply = master
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .unwrap();
+            assert_eq!(reply.kind, FrameKind::Result);
+            assert_eq!(reply.seq, 1000 + i as u64);
+            local.extend(2.0);
+            let mut w = stoch_eval::codec::Writer::new();
+            local.save_state(&mut w).unwrap();
+            let res = wire::decode_result(&reply.payload).unwrap();
+            assert_eq!(res.slot, i as u64);
+            assert_eq!(res.state, w.into_bytes());
+        }
+        master
+            .send(&[Frame::new(FrameKind::Shutdown, 0, vec![])])
+            .unwrap();
+        assert_eq!(handle.join().unwrap(), worker::exit::OK);
     }
 }

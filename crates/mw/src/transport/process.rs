@@ -58,7 +58,7 @@ use crate::faults::FaultPlan;
 use crate::pool::{default_respawn_budget, RetryPolicy};
 use crate::resilience::{BackoffPolicy, HeartbeatPolicy, HedgePolicy, P2Quantile};
 use obs::{Counter, MetricsRegistry};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -86,6 +86,14 @@ const SHUTDOWN_GRACE: Duration = Duration::from_millis(500);
 /// *different* link can sit in the kernel before the next nonblocking sweep
 /// picks it up.
 const WAIT_SLICE: Duration = Duration::from_millis(5);
+
+/// Cap on unanswered job bytes per link. The master writes jobs before it
+/// reads any result, so without a cap a large batch fills the worker's
+/// socket buffer, the worker blocks writing results the master is not yet
+/// reading, and the master's blocking write never returns. Kept well below
+/// the kernel's default socket buffer; jobs beyond it wait on the master
+/// and ship as results come back.
+pub const MAX_INFLIGHT_BYTES: usize = 64 * 1024;
 
 /// Uniquifies socket paths across pools within one master process.
 static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -153,8 +161,9 @@ struct WorkerLink {
     transport: Option<FaultedTransport<SocketTransport>>,
     child: Option<Child>,
     incarnation: u32,
-    /// Seqs dispatched on this link and not yet resolved or forgotten.
-    pending: Vec<u64>,
+    /// Jobs dispatched on this link and not yet resolved or forgotten:
+    /// `(seq, encoded frame bytes)`.
+    pending: Vec<(u64, usize)>,
     /// When the last frame arrived on this link (liveness evidence).
     last_heard: Instant,
     /// An unanswered heartbeat probe: `(ping seq, when it was sent)`.
@@ -175,6 +184,11 @@ impl WorkerLink {
             outstanding_ping: None,
             not_before: None,
         }
+    }
+
+    /// Encoded bytes of the jobs this link has not answered yet.
+    fn inflight_bytes(&self) -> usize {
+        self.pending.iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 
@@ -306,53 +320,103 @@ impl ProcessPool {
         self.lock().failed
     }
 
-    /// Dispatch one job payload to a worker (round-robin over live links,
-    /// reviving dead ones while budget lasts). Returns the seq to collect
-    /// on, or `None` when no worker could take the job — the caller should
-    /// run it inline.
-    pub fn submit(&self, payload: Vec<u8>) -> Option<u64> {
+    /// Dispatch job payloads, taken in order from the front of `payloads`,
+    /// round-robin over live links (reviving dead ones while budget lasts).
+    /// Each link gets its share of the batch as one coalesced frame run:
+    /// one write per link, whatever the batch size.
+    ///
+    /// Returns the seqs of the payloads shipped, in order. A payload that
+    /// would push every live link past [`MAX_INFLIGHT_BYTES`] stays in
+    /// `payloads`, with everything behind it, until results come back.
+    /// `None` when no worker could take the work — the caller should run it
+    /// inline. A run whose write fails reports its seqs as
+    /// [`PollOutcome::Lost`], like every job riding a dead link.
+    pub fn submit(&self, payloads: &mut VecDeque<Vec<u8>>) -> Option<Vec<u64>> {
         let mut inner = self.lock();
         let n = inner.workers.len();
-        // Pass 0 respects respawn backoff deferrals; pass 1 forces revival
-        // past them — a pool that still has budget must field a worker
-        // rather than let the backend degrade to inline forever.
-        for pass in 0..2 {
-            let force = pass == 1;
-            for _ in 0..n {
-                let idx = inner.rr % n;
-                inner.rr = inner.rr.wrapping_add(1);
-                if inner.workers[idx].transport.is_none() {
-                    self.revive_opts(&mut inner, idx, force);
-                }
-                if inner.workers[idx].transport.is_none() {
-                    continue;
-                }
-                let seq = inner.next_seq;
-                let frame = Frame::new(FrameKind::Job, seq, payload.clone());
-                let link = &mut inner.workers[idx];
-                let sent = match &mut link.transport {
-                    Some(t) => t.send(&frame),
-                    None => continue,
-                };
-                match sent {
-                    Ok(()) => {
-                        inner.next_seq += 1;
-                        inner.workers[idx].pending.push(seq);
-                        if let Some(o) = &self.obs {
-                            o.frames_sent.inc();
-                            o.bytes_sent.add(frame.encoded_len() as u64);
-                        }
-                        return Some(seq);
-                    }
-                    Err(_) => {
-                        self.bury(&mut inner, idx);
+        let mut load: Vec<usize> = inner
+            .workers
+            .iter()
+            .map(WorkerLink::inflight_bytes)
+            .collect();
+        let mut runs: Vec<Vec<Frame>> = (0..n).map(|_| Vec::new()).collect();
+        let mut seqs = Vec::new();
+        let mut no_worker = false;
+        while let Some(payload) = payloads.front() {
+            let len = Frame::encoded_len_for(payload.len());
+            let mut chosen = None;
+            // Pass 0 respects respawn backoff deferrals; pass 1, run only
+            // when no link is alive, forces revival past them — a pool that
+            // still has budget must field a worker rather than let the
+            // backend degrade to inline forever.
+            for pass in 0..2 {
+                let force = pass == 1;
+                let mut alive = false;
+                for _ in 0..n {
+                    let idx = inner.rr % n;
+                    inner.rr = inner.rr.wrapping_add(1);
+                    if inner.workers[idx].transport.is_none() {
                         self.revive_opts(&mut inner, idx, force);
                     }
+                    if inner.workers[idx].transport.is_none() {
+                        continue;
+                    }
+                    alive = true;
+                    if load[idx] == 0 || load[idx] + len <= MAX_INFLIGHT_BYTES {
+                        chosen = Some(idx);
+                        break;
+                    }
+                }
+                if alive {
+                    break;
+                }
+                no_worker = pass == 1;
+            }
+            // Every live link is full (wait for results), or none is alive.
+            let Some(idx) = chosen else { break };
+            let Some(payload) = payloads.pop_front() else {
+                break;
+            };
+            let seq = inner.next_seq;
+            inner.next_seq += 1;
+            load[idx] += len;
+            seqs.push(seq);
+            runs[idx].push(Frame::new(FrameKind::Job, seq, payload));
+        }
+        for (idx, run) in runs.iter().enumerate() {
+            if run.is_empty() {
+                continue;
+            }
+            let sent = match &mut inner.workers[idx].transport {
+                Some(t) => t.send(run),
+                None => Err(TransportError::Closed),
+            };
+            match sent {
+                Ok(()) => {
+                    let link = &mut inner.workers[idx];
+                    link.pending
+                        .extend(run.iter().map(|f| (f.seq, f.encoded_len())));
+                    if let Some(o) = &self.obs {
+                        o.frames_sent.add(run.len() as u64);
+                        o.bytes_sent
+                            .add(run.iter().map(Frame::encoded_len).sum::<usize>() as u64);
+                    }
+                }
+                Err(_) => {
+                    self.bury(&mut inner, idx);
+                    for f in run {
+                        inner.completed.insert(f.seq, PollOutcome::Lost);
+                    }
+                    self.revive(&mut inner, idx);
                 }
             }
         }
         update_failed(&mut inner);
-        None
+        if seqs.is_empty() && no_worker {
+            None
+        } else {
+            Some(seqs)
+        }
     }
 
     /// Wait up to `max_wait` for outcomes for any of `interested`, draining
@@ -392,7 +456,7 @@ impl ProcessPool {
                 .iter()
                 .enumerate()
                 .filter(|(_, w)| w.transport.is_some())
-                .filter_map(|(i, w)| w.pending.first().map(|&s| (i, s)))
+                .filter_map(|(i, w)| w.pending.first().map(|&(s, _)| (i, s)))
                 .min_by_key(|&(_, s)| s)
                 .map(|(i, _)| i);
             match target {
@@ -418,7 +482,7 @@ impl ProcessPool {
         let mut inner = self.lock();
         inner.completed.remove(&seq);
         for link in &mut inner.workers {
-            link.pending.retain(|&s| s != seq);
+            link.pending.retain(|&(s, _)| s != seq);
         }
     }
 
@@ -457,7 +521,7 @@ impl ProcessPool {
             let frame = Frame::new(FrameKind::Ping, seq, Vec::new());
             let link = &mut inner.workers[idx];
             let sent = match &mut link.transport {
-                Some(t) => t.send(&frame),
+                Some(t) => t.send(std::slice::from_ref(&frame)),
                 None => continue,
             };
             match sent {
@@ -518,7 +582,7 @@ impl ProcessPool {
         link.last_heard = Instant::now();
         let claimed = {
             let before = link.pending.len();
-            link.pending.retain(|&s| s != frame.seq);
+            link.pending.retain(|&(s, _)| s != frame.seq);
             link.pending.len() != before
         };
         match frame.kind {
@@ -557,7 +621,7 @@ impl ProcessPool {
             let _ = child.wait();
         }
         let lost = std::mem::take(&mut link.pending);
-        for seq in lost {
+        for (seq, _) in lost {
             inner.completed.insert(seq, PollOutcome::Lost);
         }
     }
@@ -616,7 +680,7 @@ impl Drop for ProcessPool {
         let mut inner = self.lock();
         for link in &mut inner.workers {
             if let Some(t) = &mut link.transport {
-                let _ = t.send(&Frame::new(FrameKind::Shutdown, 0, Vec::new()));
+                let _ = t.send(&[Frame::new(FrameKind::Shutdown, 0, Vec::new())]);
             }
         }
         let deadline = Instant::now() + SHUTDOWN_GRACE;
@@ -748,7 +812,8 @@ pub fn default_process_workers() -> usize {
 
 static SHARED: OnceLock<Arc<ProcessBackend>> = OnceLock::new();
 
-/// One in-flight extension riding the wire.
+/// One extension riding the wire, or queued on the master for room on a
+/// link (then `seq` and `dispatched` are set when it ships).
 struct PendingJob<S> {
     idx: usize,
     slot: usize,
@@ -761,6 +826,18 @@ struct PendingJob<S> {
     /// the hedge threshold: `(its seq, when it shipped)`. First answer
     /// wins; the loser is forgotten (DESIGN.md §16).
     hedge: Option<(u64, Instant)>,
+}
+
+/// The bookkeeping of one `extend_batch` call.
+struct Batch<S> {
+    /// Shipped jobs, keyed by primary seq.
+    pending: HashMap<u64, PendingJob<S>>,
+    /// Jobs waiting for room under [`MAX_INFLIGHT_BYTES`], in order, and
+    /// their encoded payloads (same order).
+    queue: VecDeque<PendingJob<S>>,
+    payloads: VecDeque<Vec<u8>>,
+    /// Finished jobs by batch index.
+    out: Vec<Option<StreamJob<S>>>,
 }
 
 /// A [`SamplingBackend`] that runs batches on [`ProcessPool`] workers over
@@ -890,21 +967,61 @@ impl ProcessBackend {
         jobs
     }
 
-    /// Serialize and dispatch one job; `None` (with the degraded flag set)
-    /// when the pool cannot take it.
-    fn dispatch<S: SampleStream>(
-        &self,
+    /// Serialize one job's stream into a wire payload; `None` when the
+    /// stream cannot save its state.
+    fn encode_job<S: SampleStream>(
         wire_id: &str,
         slot: usize,
         dt: f64,
         stream: &S,
-    ) -> Option<u64> {
+    ) -> Option<Vec<u8>> {
         let mut w = Writer::new();
-        if stream.save_state(&mut w).is_err() {
-            return None;
+        stream.save_state(&mut w).ok()?;
+        Some(wire::encode_job(wire_id, slot as u64, dt, &w.into_bytes()))
+    }
+
+    /// Queue `p` to ship; a stream that cannot be serialized finishes
+    /// inline (with the degraded flag set).
+    fn enqueue<S: SampleStream>(&self, wire_id: &str, p: PendingJob<S>, b: &mut Batch<S>) {
+        match Self::encode_job(wire_id, p.slot, p.dt, &p.backup) {
+            Some(payload) => {
+                b.queue.push_back(p);
+                b.payloads.push_back(payload);
+            }
+            None => {
+                self.note_degraded();
+                Self::finish_inline(p, &mut b.out);
+            }
         }
-        let payload = wire::encode_job(wire_id, slot as u64, dt, &w.into_bytes());
-        self.pool.submit(payload)
+    }
+
+    /// Ship queued jobs while the links have room. A job's attempt clock
+    /// starts here, when it actually leaves the master. When no worker can
+    /// take work the queue finishes inline (with the degraded flag set).
+    fn ship<S: SampleStream>(&self, b: &mut Batch<S>) {
+        if b.queue.is_empty() {
+            return;
+        }
+        match self.pool.submit(&mut b.payloads) {
+            Some(seqs) => {
+                let now = Instant::now();
+                for seq in seqs {
+                    let Some(mut p) = b.queue.pop_front() else {
+                        break;
+                    };
+                    p.seq = seq;
+                    p.dispatched = now;
+                    b.pending.insert(seq, p);
+                }
+            }
+            None => {
+                self.note_degraded();
+                b.payloads.clear();
+                for p in std::mem::take(&mut b.queue) {
+                    Self::finish_inline(p, &mut b.out);
+                }
+            }
+        }
     }
 
     /// Complete `p` inline from its backup.
@@ -929,30 +1046,23 @@ impl ProcessBackend {
         wire_id: &str,
         mut p: PendingJob<S>,
         from_hedge: bool,
-        pending: &mut HashMap<u64, PendingJob<S>>,
-        out: &mut [Option<StreamJob<S>>],
+        b: &mut Batch<S>,
     ) {
         if from_hedge {
             p.hedge = None;
-            pending.insert(p.seq, p);
+            b.pending.insert(p.seq, p);
         } else if let Some((h, shipped)) = p.hedge.take() {
             p.seq = h;
             p.dispatched = shipped;
-            pending.insert(h, p);
+            b.pending.insert(h, p);
         } else {
-            self.retry_or_inline(wire_id, p, pending, out);
+            self.retry_or_inline(wire_id, p, b);
         }
     }
 
-    /// Re-dispatch a lost/expired job if attempts and workers remain,
-    /// otherwise finish it inline.
-    fn retry_or_inline<S: SampleStream>(
-        &self,
-        wire_id: &str,
-        p: PendingJob<S>,
-        pending: &mut HashMap<u64, PendingJob<S>>,
-        out: &mut [Option<StreamJob<S>>],
-    ) {
+    /// Queue a lost/expired job for another attempt if attempts and
+    /// workers remain, otherwise finish it inline.
+    fn retry_or_inline<S: SampleStream>(&self, wire_id: &str, p: PendingJob<S>, b: &mut Batch<S>) {
         let next_attempt = p.attempt + 1;
         if next_attempt <= self.retry.max_attempts && !self.pool.is_failed() {
             if let Some(o) = self.obs() {
@@ -962,22 +1072,15 @@ impl ProcessBackend {
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
-            if let Some(seq) = self.dispatch(wire_id, p.slot, p.dt, &p.backup) {
-                pending.insert(
-                    seq,
-                    PendingJob {
-                        seq,
-                        attempt: next_attempt,
-                        dispatched: Instant::now(),
-                        hedge: None,
-                        ..p
-                    },
-                );
-                return;
-            }
-            self.note_degraded();
+            let retry = PendingJob {
+                attempt: next_attempt,
+                hedge: None,
+                ..p
+            };
+            self.enqueue(wire_id, retry, b);
+            return;
         }
-        Self::finish_inline(p, out);
+        Self::finish_inline(p, &mut b.out);
     }
 }
 
@@ -997,51 +1100,46 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
             return Self::extend_inline(jobs);
         }
         let n = jobs.len();
-        let mut out: Vec<Option<StreamJob<S>>> = (0..n).map(|_| None).collect();
-        let mut pending: HashMap<u64, PendingJob<S>> = HashMap::with_capacity(n);
+        let mut b = Batch {
+            pending: HashMap::with_capacity(n),
+            queue: VecDeque::with_capacity(n),
+            payloads: VecDeque::with_capacity(n),
+            out: (0..n).map(|_| None).collect(),
+        };
+        let now = Instant::now();
         for (idx, job) in jobs.into_iter().enumerate() {
-            match self.dispatch(wire_id, job.slot, job.dt, &job.stream) {
-                Some(seq) => {
-                    pending.insert(
-                        seq,
-                        PendingJob {
-                            idx,
-                            slot: job.slot,
-                            dt: job.dt,
-                            backup: job.stream,
-                            seq,
-                            attempt: 1,
-                            dispatched: Instant::now(),
-                            hedge: None,
-                        },
-                    );
-                }
-                None => {
-                    self.note_degraded();
-                    let mut stream = job.stream;
-                    stream.extend(job.dt);
-                    out[idx] = Some(StreamJob {
-                        slot: job.slot,
-                        dt: job.dt,
-                        stream,
-                    });
-                }
-            }
+            let p = PendingJob {
+                idx,
+                slot: job.slot,
+                dt: job.dt,
+                backup: job.stream,
+                seq: 0,
+                attempt: 1,
+                dispatched: now,
+                hedge: None,
+            };
+            self.enqueue(wire_id, p, &mut b);
         }
         let limit = self.retry.timeout.unwrap_or(DEFAULT_ATTEMPT_TIMEOUT);
-        while !pending.is_empty() {
-            let interested: Vec<u64> = pending
+        loop {
+            self.ship(&mut b);
+            if b.pending.is_empty() && b.queue.is_empty() {
+                break;
+            }
+            let interested: Vec<u64> = b
+                .pending
                 .keys()
                 .copied()
-                .chain(pending.values().filter_map(|p| p.hedge.map(|(s, _)| s)))
+                .chain(b.pending.values().filter_map(|p| p.hedge.map(|(s, _)| s)))
                 .collect();
             for (seq, outcome) in self.pool.collect(&interested, Duration::from_millis(20)) {
                 // Resolve the seq to its pending entry: primary seqs are the
                 // map keys; hedge seqs need a scan (batches are small).
-                let key = if pending.contains_key(&seq) {
+                let key = if b.pending.contains_key(&seq) {
                     seq
                 } else {
-                    match pending
+                    match b
+                        .pending
                         .iter()
                         .find(|(_, p)| p.hedge.is_some_and(|(s, _)| s == seq))
                         .map(|(k, _)| *k)
@@ -1050,7 +1148,7 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
                         None => continue,
                     }
                 };
-                let Some(p) = pending.remove(&key) else {
+                let Some(p) = b.pending.remove(&key) else {
                     continue;
                 };
                 let from_hedge = seq != p.seq;
@@ -1077,7 +1175,7 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
                                     }
                                     self.observe_latency(p.dispatched.elapsed());
                                 }
-                                out[p.idx] = Some(StreamJob {
+                                b.out[p.idx] = Some(StreamJob {
                                     slot: p.slot,
                                     dt: p.dt,
                                     stream,
@@ -1085,9 +1183,7 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
                             }
                             // An undecodable or misrouted result is treated
                             // as a lost attempt, never a guessed sample.
-                            None => {
-                                self.settle_lost_leg(wire_id, p, from_hedge, &mut pending, &mut out)
-                            }
+                            None => self.settle_lost_leg(wire_id, p, from_hedge, &mut b),
                         }
                     }
                     PollOutcome::Refused(_) => {
@@ -1101,23 +1197,22 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
                         } else if let Some((h, _)) = p.hedge {
                             self.pool.forget(h);
                         }
-                        Self::finish_inline(p, &mut out);
+                        Self::finish_inline(p, &mut b.out);
                     }
-                    PollOutcome::Lost => {
-                        self.settle_lost_leg(wire_id, p, from_hedge, &mut pending, &mut out)
-                    }
+                    PollOutcome::Lost => self.settle_lost_leg(wire_id, p, from_hedge, &mut b),
                 }
             }
             // Per-attempt deadlines: abandon expired seqs and re-dispatch.
             // A hedged job's clock is its primary dispatch; expiry abandons
             // both legs (the hedge shipped even later).
-            let expired: Vec<u64> = pending
+            let expired: Vec<u64> = b
+                .pending
                 .values()
                 .filter(|p| p.dispatched.elapsed() >= limit)
                 .map(|p| p.seq)
                 .collect();
             for seq in expired {
-                let Some(p) = pending.remove(&seq) else {
+                let Some(p) = b.pending.remove(&seq) else {
                     continue;
                 };
                 if let Some(o) = self.obs() {
@@ -1127,37 +1222,37 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
                 if let Some((h, _)) = p.hedge {
                     self.pool.forget(h);
                 }
-                self.retry_or_inline(wire_id, p, &mut pending, &mut out);
+                self.retry_or_inline(wire_id, p, &mut b);
             }
             // Straggler hedging (DESIGN.md §16): primaries in flight past
             // the quantile-tracked threshold get a speculative duplicate of
-            // the same stream clone on another worker.
+            // the same stream clone on another worker, when a link has
+            // room for it.
             if let Some(after) = self.hedge_after() {
-                let candidates: Vec<u64> = pending
+                let candidates: Vec<u64> = b
+                    .pending
                     .values()
                     .filter(|p| p.hedge.is_none() && p.dispatched.elapsed() >= after)
                     .map(|p| p.seq)
                     .collect();
                 for seq in candidates {
-                    let Some((slot, dt)) = pending.get(&seq).map(|p| (p.slot, p.dt)) else {
+                    let Some(p) = b.pending.get_mut(&seq) else {
                         continue;
                     };
-                    let hseq = {
-                        let p = &pending[&seq];
-                        self.dispatch(wire_id, slot, dt, &p.backup)
-                    };
+                    let hseq = Self::encode_job(wire_id, p.slot, p.dt, &p.backup)
+                        .and_then(|payload| self.pool.submit(&mut VecDeque::from([payload])))
+                        .and_then(|seqs| seqs.first().copied());
                     if let Some(hseq) = hseq {
                         if let Some(o) = self.obs() {
                             o.hedge_launched.inc();
                         }
-                        if let Some(p) = pending.get_mut(&seq) {
-                            p.hedge = Some((hseq, Instant::now()));
-                        }
+                        p.hedge = Some((hseq, Instant::now()));
                     }
                 }
             }
         }
-        out.into_iter()
+        b.out
+            .into_iter()
             .map(|o| {
                 o.unwrap_or_else(|| {
                     // Unreachable: every branch above fills its slot.
@@ -1373,8 +1468,60 @@ mod tests {
         let local = stoch_eval::sampler::GaussianStream::new(1.0, 1.0, 3);
         local.save_state(&mut w).unwrap();
         let payload = wire::encode_job("gaussian.v1", 0, 1.0, &w.into_bytes());
-        assert!(pool.submit(payload).is_some());
+        let shipped = pool.submit(&mut VecDeque::from([payload])).unwrap();
+        assert_eq!(shipped.len(), 1);
         assert_eq!(pool.alive_workers(), 1);
+    }
+
+    #[test]
+    fn submit_holds_jobs_past_the_inflight_cap() {
+        let pool = ProcessPool::with_options(1, FaultPlan::none(), 1, None);
+        let mut w = Writer::new();
+        let local = stoch_eval::sampler::GaussianStream::new(1.0, 1.0, 3);
+        local.save_state(&mut w).unwrap();
+        let payload = wire::encode_job("gaussian.v1", 0, 1.0, &w.into_bytes());
+        let frame_len = Frame::encoded_len_for(payload.len());
+        let mut payloads: VecDeque<Vec<u8>> = (0..2000).map(|_| payload.clone()).collect();
+        let shipped = pool.submit(&mut payloads).unwrap();
+        assert_eq!(shipped.len(), MAX_INFLIGHT_BYTES / frame_len);
+        assert_eq!(payloads.len(), 2000 - shipped.len());
+        // Nothing fits until results come back.
+        assert_eq!(pool.submit(&mut payloads), Some(Vec::new()));
+        let mut answered = 0;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while answered < shipped.len() && Instant::now() < deadline {
+            answered += pool.collect(&shipped, Duration::from_millis(20)).len();
+        }
+        assert_eq!(answered, shipped.len());
+        assert_eq!(pool.submit(&mut payloads).unwrap().len(), shipped.len());
+    }
+
+    #[test]
+    fn large_batch_completes_bit_for_bit() {
+        // 5000 jobs are far more than two socket buffers hold: without the
+        // in-flight cap the master blocks writing jobs while the workers
+        // block writing results.
+        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(5.0));
+        let serial = SerialBackend.extend_batch(jobs_at(&obj, 5000));
+        let backend = ProcessBackend::with_options(
+            2,
+            FaultPlan::none(),
+            RetryPolicy::default(),
+            default_respawn_budget(2),
+            None,
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let procd = backend.extend_batch(jobs_at(&obj, 5000));
+            let degraded = SamplingBackend::<Stream>::degraded(&backend);
+            let _ = tx.send((procd, degraded));
+        });
+        let (procd, degraded) = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("5000-job batch did not finish within 120 s");
+        worker.join().unwrap();
+        assert_batches_identical(&serial, &procd);
+        assert!(!degraded);
     }
 
     #[test]

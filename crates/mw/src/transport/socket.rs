@@ -23,6 +23,8 @@ pub struct SocketTransport {
     buf: FrameBuffer,
     /// Scratch for `read` calls.
     chunk: [u8; 64 * 1024],
+    /// Reused encode buffer: one `send` is one `write_all` of it.
+    wbuf: Vec<u8>,
 }
 
 impl SocketTransport {
@@ -34,6 +36,7 @@ impl SocketTransport {
             stream,
             buf: FrameBuffer::new(),
             chunk: [0u8; 64 * 1024],
+            wbuf: Vec::new(),
         })
     }
 
@@ -84,8 +87,12 @@ impl SocketTransport {
 }
 
 impl Transport for SocketTransport {
-    fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.stream.write_all(&frame.encode()).map_err(Self::map_io)
+    fn send(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        self.wbuf.clear();
+        for frame in frames {
+            frame.encode_into(&mut self.wbuf);
+        }
+        self.stream.write_all(&self.wbuf).map_err(Self::map_io)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
@@ -146,7 +153,7 @@ mod tests {
     #[test]
     fn frames_cross_the_socket() {
         let (mut a, mut b) = socket_pair();
-        a.send(&Frame::new(FrameKind::Job, 7, vec![1, 2, 3]))
+        a.send(&[Frame::new(FrameKind::Job, 7, vec![1, 2, 3])])
             .unwrap();
         let f = b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!(f.seq, 7);
@@ -187,7 +194,7 @@ mod tests {
         let t0 = Instant::now();
         assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), None);
         assert!(t0.elapsed() < Duration::from_millis(20));
-        a.send(&Frame::new(FrameKind::Job, 1, vec![9])).unwrap();
+        a.send(&[Frame::new(FrameKind::Job, 1, vec![9])]).unwrap();
         // Unix-socket writes land synchronously, but give slow CI a beat.
         std::thread::sleep(Duration::from_millis(2));
         let f = b.recv_timeout(Duration::ZERO).unwrap().unwrap();

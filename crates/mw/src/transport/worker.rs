@@ -20,7 +20,11 @@
 
 use super::{wire, Frame, FrameKind, SocketTransport, Transport, TransportError};
 use crate::faults::{FaultPlan, WorkerFault};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Longest a computed reply waits for the rest of its burst before it is
+/// sent on its own.
+const MAX_REPLY_HOLD: Duration = Duration::from_millis(1);
 
 /// Env var holding the socket path a worker process must connect to.
 pub const WORKER_SOCKET_ENV: &str = "NSX_WORKER_SOCKET";
@@ -91,34 +95,69 @@ fn worker_main() -> i32 {
 /// frames until a `Shutdown` frame or peer hangup. Returns the process exit
 /// code. Generic over [`Transport`] so the protocol is testable in-process
 /// over [`channel_pair`](super::channel_pair) without spawning anything.
+///
+/// Replies go out per drained burst: after one blocking receive the loop
+/// takes every frame already buffered, answers them in arrival order, and
+/// sends all the replies with one `send` (a reply held past
+/// [`MAX_REPLY_HOLD`] goes out early). Before anything that stops or
+/// stalls the loop (an injected crash or delay, `Shutdown`, a dead or
+/// corrupt link) it flushes the replies already computed, so every fault
+/// keeps the meaning it has with one reply per job.
 pub fn serve<T: Transport>(mut t: T, fault: WorkerFault) -> i32 {
     let mut hello = stoch_eval::codec::Writer::new();
     hello.put_u64(std::process::id() as u64);
-    if t.send(&Frame::new(FrameKind::Hello, 0, hello.into_bytes()))
+    if t.send(&[Frame::new(FrameKind::Hello, 0, hello.into_bytes())])
         .is_err()
     {
         return exit::IO;
     }
 
     let mut executed: u64 = 0;
+    let mut replies: Vec<Frame> = Vec::new();
+    let mut held_since = Instant::now();
+    let mut wait = Duration::from_millis(200);
     loop {
-        let frame = match t.recv_timeout(Duration::from_millis(200)) {
+        let frame = match t.recv_timeout(wait) {
             Ok(Some(f)) => f,
-            Ok(None) => continue,
-            Err(TransportError::Closed) => return exit::OK,
-            Err(TransportError::Corrupt(_)) => return exit::CORRUPT,
-            Err(TransportError::Io(_)) => return exit::IO,
+            // The burst is drained: answer it, then block again.
+            Ok(None) => match flush(&mut t, &mut replies) {
+                Ok(()) => {
+                    wait = Duration::from_millis(200);
+                    continue;
+                }
+                Err(code) => return code,
+            },
+            Err(e) => {
+                let _ = flush(&mut t, &mut replies);
+                return match e {
+                    TransportError::Closed => exit::OK,
+                    TransportError::Corrupt(_) => exit::CORRUPT,
+                    TransportError::Io(_) => exit::IO,
+                };
+            }
         };
+        // Whatever else is already buffered belongs to this burst.
+        wait = Duration::ZERO;
         match frame.kind {
-            FrameKind::Shutdown => return exit::OK,
+            FrameKind::Shutdown => {
+                let _ = flush(&mut t, &mut replies);
+                return exit::OK;
+            }
             FrameKind::Job => {
                 if fault.kill_after.is_some_and(|k| executed >= k) {
                     // Simulated crash with the job in hand: no reply, no
                     // shutdown handshake. The master sees EOF.
+                    let _ = flush(&mut t, &mut replies);
                     return exit::KILLED;
                 }
                 if let Some(d) = fault.delay_for(executed) {
+                    if let Err(code) = flush(&mut t, &mut replies) {
+                        return code;
+                    }
                     std::thread::sleep(d);
+                }
+                if replies.is_empty() {
+                    held_since = Instant::now();
                 }
                 let job_idx = executed;
                 executed += 1;
@@ -129,26 +168,41 @@ pub fn serve<T: Transport>(mut t: T, fault: WorkerFault) -> i32 {
                 if fault.drop_at == Some(job_idx) {
                     continue; // executed, result discarded
                 }
-                match t.send(&reply) {
-                    Ok(()) => {}
-                    Err(TransportError::Closed) => return exit::OK,
-                    Err(_) => return exit::IO,
+                replies.push(reply);
+                // Heavy jobs: answer now rather than at the end of the
+                // burst, so results (the master's liveness evidence) keep
+                // flowing while the rest of the burst computes.
+                if held_since.elapsed() >= MAX_REPLY_HOLD {
+                    if let Err(code) = flush(&mut t, &mut replies) {
+                        return code;
+                    }
                 }
             }
             // Heartbeat probe: echo the seq so the master can match the
             // reply to its outstanding Ping (DESIGN.md §16). Injected delay
             // faults intentionally do NOT apply here — they model slow
             // *jobs*, and a delayed worker is alive, not dead.
-            FrameKind::Ping => match t.send(&Frame::new(FrameKind::Pong, frame.seq, vec![])) {
-                Ok(()) => {}
-                Err(TransportError::Closed) => return exit::OK,
-                Err(_) => return exit::IO,
-            },
+            FrameKind::Ping => replies.push(Frame::new(FrameKind::Pong, frame.seq, vec![])),
             // Hello/Result/Error/Pong are master-bound; receiving one here
             // means the peer is confused. Ignore rather than die — the
             // master's per-attempt timeout owns recovery policy.
             FrameKind::Hello | FrameKind::Result | FrameKind::Error | FrameKind::Pong => {}
         }
+    }
+}
+
+/// Send the buffered replies in one write. `Err` carries the exit code
+/// when the link is gone.
+fn flush<T: Transport>(t: &mut T, replies: &mut Vec<Frame>) -> Result<(), i32> {
+    if replies.is_empty() {
+        return Ok(());
+    }
+    let sent = t.send(replies);
+    replies.clear();
+    match sent {
+        Ok(()) => Ok(()),
+        Err(TransportError::Closed) => Err(exit::OK),
+        Err(_) => Err(exit::IO),
     }
 }
 
@@ -196,7 +250,7 @@ mod tests {
         let mut local = GaussianStream::new(2.0, 1.0, 5);
         let payload = wire::encode_job("gaussian.v1", 0, 3.0, &state_of(&local));
         master
-            .send(&Frame::new(FrameKind::Job, 42, payload))
+            .send(&[Frame::new(FrameKind::Job, 42, payload)])
             .unwrap();
         let reply = master
             .recv_timeout(Duration::from_secs(1))
@@ -209,7 +263,7 @@ mod tests {
         assert_eq!(res.state, state_of(&local));
 
         master
-            .send(&Frame::new(FrameKind::Shutdown, 0, vec![]))
+            .send(&[Frame::new(FrameKind::Shutdown, 0, vec![])])
             .unwrap();
         assert_eq!(handle.join().unwrap(), exit::OK);
     }
@@ -220,7 +274,7 @@ mod tests {
         expect_hello(&mut master);
         let payload = wire::encode_job("martian.v9", 0, 1.0, b"");
         master
-            .send(&Frame::new(FrameKind::Job, 7, payload))
+            .send(&[Frame::new(FrameKind::Job, 7, payload)])
             .unwrap();
         let reply = master
             .recv_timeout(Duration::from_secs(1))
@@ -240,7 +294,7 @@ mod tests {
         let (mut master, handle) = spawn_serve(WorkerFault::default());
         expect_hello(&mut master);
         master
-            .send(&Frame::new(FrameKind::Ping, 99, vec![]))
+            .send(&[Frame::new(FrameKind::Ping, 99, vec![])])
             .unwrap();
         let reply = master
             .recv_timeout(Duration::from_secs(1))
@@ -250,7 +304,7 @@ mod tests {
         assert_eq!(reply.seq, 99);
         assert!(reply.payload.is_empty());
         master
-            .send(&Frame::new(FrameKind::Shutdown, 0, vec![]))
+            .send(&[Frame::new(FrameKind::Shutdown, 0, vec![])])
             .unwrap();
         assert_eq!(handle.join().unwrap(), exit::OK);
     }
@@ -267,7 +321,7 @@ mod tests {
         for seq in 0..2u64 {
             let payload = wire::encode_job("gaussian.v1", seq, 1.0, &state_of(&local));
             master
-                .send(&Frame::new(FrameKind::Job, seq, payload))
+                .send(&[Frame::new(FrameKind::Job, seq, payload)])
                 .unwrap();
         }
         // First job answered, second lost to the crash.
@@ -295,7 +349,7 @@ mod tests {
         for seq in 0..2u64 {
             let payload = wire::encode_job("gaussian.v1", seq, 1.0, &state_of(&local));
             master
-                .send(&Frame::new(FrameKind::Job, seq, payload))
+                .send(&[Frame::new(FrameKind::Job, seq, payload)])
                 .unwrap();
         }
         // Only the second job replies.
@@ -305,7 +359,7 @@ mod tests {
             .unwrap();
         assert_eq!(reply.seq, 1);
         master
-            .send(&Frame::new(FrameKind::Shutdown, 0, vec![]))
+            .send(&[Frame::new(FrameKind::Shutdown, 0, vec![])])
             .unwrap();
         assert_eq!(handle.join().unwrap(), exit::OK);
     }

@@ -50,7 +50,7 @@ proptest! {
         let frame = Frame::new(KINDS[kind_idx], seq, payload);
 
         let (mut a, mut b) = channel_pair();
-        a.send(&frame).unwrap();
+        a.send(std::slice::from_ref(&frame)).unwrap();
         prop_assert_eq!(
             b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
             frame.clone()
@@ -61,7 +61,7 @@ proptest! {
             SocketTransport::new(x).unwrap(),
             SocketTransport::new(y).unwrap(),
         );
-        x.send(&frame).unwrap();
+        x.send(std::slice::from_ref(&frame)).unwrap();
         prop_assert_eq!(
             y.recv_timeout(Duration::from_secs(1)).unwrap().unwrap(),
             frame
@@ -204,8 +204,8 @@ fn duplicated_job_frames_are_answered_per_copy() {
         .unwrap()
         .unwrap();
     assert_eq!(hello.kind, FrameKind::Hello);
-    master.send(&job).unwrap();
-    master.send(&job).unwrap();
+    master.send(std::slice::from_ref(&job)).unwrap();
+    master.send(std::slice::from_ref(&job)).unwrap();
     let first = master
         .recv_timeout(Duration::from_secs(5))
         .unwrap()
@@ -219,7 +219,7 @@ fn duplicated_job_frames_are_answered_per_copy() {
     // Same deterministic job → bit-identical duplicate answer.
     assert_eq!(second, first);
     master
-        .send(&Frame::new(FrameKind::Shutdown, 0, vec![]))
+        .send(&[Frame::new(FrameKind::Shutdown, 0, vec![])])
         .unwrap();
     assert_eq!(t.join().unwrap(), 0);
 }
