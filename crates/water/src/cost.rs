@@ -17,6 +17,7 @@
 //! error propagation. This gives the realistic structure where noise on the
 //! *cost* is parameter-dependent even though per-property noise is not.
 
+use crate::integrate::ConstraintError;
 use crate::reference::Experiment;
 use crate::simulate::{run_md, MdConfig};
 use crate::surrogate::{prop, PropertyEngine};
@@ -296,10 +297,12 @@ pub struct MdPropertyEngine {
     pub cfg: MdConfig,
 }
 
-impl PropertyEngine for MdPropertyEngine {
-    fn properties(&self, params: &[f64; 3]) -> [f64; 6] {
+impl MdPropertyEngine {
+    /// The six properties at `params`, or why the simulation could not
+    /// keep its molecules rigid.
+    pub fn try_properties(&self, params: &[f64; 3]) -> Result<[f64; 6], ConstraintError> {
         let model = crate::model::WaterModel::with_params(params[0], params[1], params[2]);
-        let out = run_md(model, &self.cfg);
+        let out = run_md(model, &self.cfg)?;
         let mut p = [0.0; 6];
         p[prop::D] = out.diffusion_cm2_s * 1e5;
         p[prop::G_HH] = rdf_residual(&out.g_hh, Experiment::g_hh);
@@ -307,7 +310,15 @@ impl PropertyEngine for MdPropertyEngine {
         p[prop::G_OO] = rdf_residual(&out.g_oo, Experiment::g_oo);
         p[prop::P] = out.pressure_atm.mean;
         p[prop::U] = out.energy_kj_mol.mean;
-        p
+        Ok(p)
+    }
+}
+
+impl PropertyEngine for MdPropertyEngine {
+    /// A diverged simulation reports every property as NaN, which
+    /// [`WaterCostStream`] quarantines.
+    fn properties(&self, params: &[f64; 3]) -> [f64; 6] {
+        self.try_properties(params).unwrap_or([f64::NAN; 6])
     }
 }
 
@@ -338,6 +349,11 @@ pub fn rdf_residual(curve: &(Vec<f64>, Vec<f64>), reference: fn(f64) -> f64) -> 
 /// `extend(dt)` runs one more short simulation (a fresh seed) and folds its
 /// cost into a Welford mean. This is the full-fidelity path where the noise
 /// is genuine thermal sampling error, not a synthetic Gaussian.
+///
+/// A replica that diverges (a [`ConstraintError`]) or yields a non-finite
+/// cost is quarantined like a [`WaterCostStream`] increment: it is counted
+/// by `nonfinite_samples`, and from then on the estimate is `+inf` with
+/// zero standard error, so the engine's `NonFinitePolicy` decides.
 #[derive(Debug, Clone)]
 pub struct MdCostStream {
     params: [f64; 3],
@@ -346,6 +362,7 @@ pub struct MdCostStream {
     acc: Welford,
     replica: u64,
     seed: u64,
+    nonfinite: u64,
 }
 
 impl SampleStream for MdCostStream {
@@ -354,11 +371,23 @@ impl SampleStream for MdCostStream {
         cfg.seed = stoch_eval::rng::child_seed(self.seed, self.replica);
         self.replica += 1;
         let engine = MdPropertyEngine { cfg };
-        let props = engine.properties(&self.params);
-        self.acc.push(self.weights.cost(&props));
+        match engine
+            .try_properties(&self.params)
+            .map(|p| self.weights.cost(&p))
+        {
+            Ok(cost) if cost.is_finite() => self.acc.push(cost),
+            _ => self.nonfinite += 1,
+        }
     }
 
     fn estimate(&self) -> Estimate {
+        if self.nonfinite > 0 {
+            return Estimate {
+                value: f64::INFINITY,
+                std_err: 0.0,
+                time: self.replica as f64,
+            };
+        }
         let n = self.acc.count();
         Estimate {
             value: if n > 0 { self.acc.mean() } else { f64::NAN },
@@ -369,6 +398,10 @@ impl SampleStream for MdCostStream {
             },
             time: n as f64,
         }
+    }
+
+    fn nonfinite_samples(&self) -> u64 {
+        self.nonfinite
     }
 }
 
@@ -396,6 +429,7 @@ impl StochasticObjective for MdWaterObjective {
             acc: Welford::new(),
             replica: 0,
             seed,
+            nonfinite: 0,
         }
     }
 }
@@ -533,6 +567,34 @@ mod tests {
         let gs: Vec<f64> = rs.iter().map(|&r| Experiment::g_oo(r) + 0.2).collect();
         let res = rdf_residual(&(rs, gs), Experiment::g_oo);
         assert!((res - 0.2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn md_stream_quarantines_a_diverged_replica() {
+        // At σ = 2.5 Å, q_H = 0.78 e SHAKE runs out of sweeps during
+        // equilibration (see `simulate`'s divergence test).
+        let obj = MdWaterObjective {
+            cfg: MdConfig {
+                n_side: 3,
+                equil_steps: 100,
+                prod_steps: 200,
+                ..MdConfig::default()
+            },
+            weights: CostWeights::default(),
+        };
+        let mut s = obj.open(&[0.155, 2.5, 0.78], 1);
+        assert_eq!(s.nonfinite_samples(), 0);
+        s.extend(1.0);
+        assert_eq!(s.nonfinite_samples(), 1);
+        let e = s.estimate();
+        assert!(e.value.is_infinite() && e.value > 0.0);
+        assert_eq!(e.std_err, 0.0);
+        assert_eq!(e.time, 1.0);
+        let engine = MdPropertyEngine { cfg: obj.cfg };
+        assert!(engine
+            .properties(&[0.155, 2.5, 0.78])
+            .iter()
+            .all(|p| p.is_nan()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! These are the six observables the paper's cost function fits (§3.5):
 //! ⟨U⟩, ⟨P⟩, D, and the three RDFs gOO, gOH, gHH.
 
-use crate::system::{min_image_vec, System};
+use crate::system::{min_image_vec, Molecule, System};
 use crate::units::{A2_FS_TO_CM2_S, KB, KCAL_A3_TO_ATM};
 use crate::vec3::Vec3;
 
@@ -50,13 +50,13 @@ impl RdfAccumulator {
         }
     }
 
-    /// Site positions relevant to this RDF, per molecule.
-    fn sites(kind: RdfKind, sys: &System, i: usize) -> Vec<Vec3> {
-        let m = &sys.molecules[i];
+    /// Sites of molecule `m` this RDF correlates, borrowed from its `[O,
+    /// H1, H2]` array: O for gOO, both Hs for gHH (`sample` pairs gOH's
+    /// sites itself).
+    fn sites(kind: RdfKind, m: &Molecule) -> &[Vec3] {
         match kind {
-            RdfKind::OO => vec![m.r[0]],
-            RdfKind::OH => vec![m.r[0], m.r[1], m.r[2]], // handled pairwise below
-            RdfKind::HH => vec![m.r[1], m.r[2]],
+            RdfKind::OO => &m.r[..1],
+            RdfKind::OH | RdfKind::HH => &m.r[1..],
         }
     }
 
@@ -68,10 +68,10 @@ impl RdfAccumulator {
             for j in i + 1..n {
                 match self.kind {
                     RdfKind::OO | RdfKind::HH => {
-                        let si = Self::sites(self.kind, sys, i);
-                        let sj = Self::sites(self.kind, sys, j);
-                        for &a in &si {
-                            for &b in &sj {
+                        let si = Self::sites(self.kind, &sys.molecules[i]);
+                        let sj = Self::sites(self.kind, &sys.molecules[j]);
+                        for &a in si {
+                            for &b in sj {
                                 self.push(min_image_vec(a - b, l).norm());
                             }
                         }
@@ -189,7 +189,6 @@ impl MsdTracker {
 mod tests {
     use super::*;
     use crate::model::TIP4P;
-    use crate::system::Molecule;
 
     #[test]
     fn ideal_gas_pressure() {

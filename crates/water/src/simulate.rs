@@ -3,7 +3,7 @@
 //! are measured with error bars.
 
 use crate::blocking::block_analysis;
-use crate::integrate::{kinetic_energy, rescale_to, step, temperature};
+use crate::integrate::{kinetic_energy, rescale_to, temperature, try_step, ConstraintError};
 use crate::kernel::{ForceEngine, ForceKernel};
 use crate::model::WaterModel;
 use crate::properties::{pressure_atm, MsdTracker, RdfAccumulator, RdfKind};
@@ -85,7 +85,11 @@ pub struct MdProperties {
 }
 
 /// Run the full two-phase protocol for `model` under `cfg`.
-pub fn run_md(model: WaterModel, cfg: &MdConfig) -> MdProperties {
+///
+/// Fails when a step cannot keep the molecules rigid: parameters far from
+/// physical water (e.g. a small σ with a large q_H) can pull sites so hard
+/// that SHAKE or RATTLE runs out of sweeps.
+pub fn run_md(model: WaterModel, cfg: &MdConfig) -> Result<MdProperties, ConstraintError> {
     let mut sys = System::lattice(model, cfg.n_side, cfg.density, cfg.temperature, cfg.seed);
     let half_box = sys.box_len / 2.0;
     let rc = cfg.rc.map_or(half_box, |r| r.min(half_box));
@@ -94,7 +98,7 @@ pub fn run_md(model: WaterModel, cfg: &MdConfig) -> MdProperties {
     // Phase 1: NVT equilibration with velocity rescaling.
     let mut f = engine.compute(&sys, rc);
     for i in 0..cfg.equil_steps {
-        f = step(&mut sys, &f, cfg.dt, rc, &mut engine);
+        f = try_step(&mut sys, &f, cfg.dt, rc, &mut engine)?;
         if i % 5 == 0 {
             rescale_to(&mut sys, cfg.temperature);
         }
@@ -111,7 +115,7 @@ pub fn run_md(model: WaterModel, cfg: &MdConfig) -> MdProperties {
     let mut t_acc = Welford::new();
 
     for i in 1..=cfg.prod_steps {
-        f = step(&mut sys, &f, cfg.dt, rc, &mut engine);
+        f = try_step(&mut sys, &f, cfg.dt, rc, &mut engine)?;
         if i % cfg.sample_every == 0 {
             let t_inst = temperature(&sys);
             u_series.push(f.potential / sys.n_molecules() as f64);
@@ -153,7 +157,7 @@ pub fn run_md(model: WaterModel, cfg: &MdConfig) -> MdProperties {
     let u_meas = measured(&u_series);
     let p_meas = measured(&p_series);
 
-    MdProperties {
+    Ok(MdProperties {
         energy_kj_mol: Measured {
             mean: u_meas.mean * KCAL_TO_KJ,
             std_err: u_meas.std_err * KCAL_TO_KJ,
@@ -165,7 +169,7 @@ pub fn run_md(model: WaterModel, cfg: &MdConfig) -> MdProperties {
         g_oh: g_oh.normalize(&sys),
         g_hh: g_hh.normalize(&sys),
         production_fs: cfg.prod_steps as f64 * cfg.dt,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -198,7 +202,8 @@ mod tests {
                 prod_steps: 1_500,
                 ..tiny()
             },
-        );
+        )
+        .expect("TIP4P stays rigid");
         // Cohesive energy: negative, within a loose liquid-water band
         // (small box + truncated electrostatics shift it, but the sign and
         // order of magnitude are robust).
@@ -224,7 +229,7 @@ mod tests {
 
     #[test]
     fn goo_shows_first_shell_structure() {
-        let p = run_md(TIP4P, &tiny());
+        let p = run_md(TIP4P, &tiny()).expect("TIP4P stays rigid");
         let (rs, gs) = &p.g_oo;
         // Peak location: the first maximum of gOO should fall near 2.8 Å
         // (liquid water's first shell), certainly within [2.4, 3.4].
@@ -251,9 +256,30 @@ mod tests {
 
     #[test]
     fn md_is_reproducible_for_fixed_seed() {
-        let a = run_md(TIP4P, &tiny());
-        let b = run_md(TIP4P, &tiny());
+        let a = run_md(TIP4P, &tiny()).expect("TIP4P stays rigid");
+        let b = run_md(TIP4P, &tiny()).expect("TIP4P stays rigid");
         assert_eq!(a.energy_kj_mol.mean, b.energy_kj_mol.mean);
         assert_eq!(a.pressure_atm.mean, b.pressure_atm.mean);
+    }
+
+    #[test]
+    fn constraint_divergence_is_an_error_not_a_panic() {
+        // At σ = 2.5 Å, q_H = 0.78 e SHAKE runs out of sweeps during
+        // equilibration for every seed tried.
+        let model = WaterModel::with_params(0.155, 2.5, 0.78);
+        for seed in 0..3 {
+            let cfg = MdConfig {
+                n_side: 3,
+                equil_steps: 100,
+                prod_steps: 200,
+                seed,
+                ..MdConfig::default()
+            };
+            let err = run_md(model, &cfg).expect_err("these parameters diverge");
+            assert!(
+                matches!(err, ConstraintError::Shake { .. }),
+                "seed {seed}: {err}"
+            );
+        }
     }
 }

@@ -68,7 +68,13 @@ fn main() {
         sample_every: 10,
         ..MdConfig::default()
     };
-    let props = run_md(model, &cfg);
+    let props = match run_md(model, &cfg) {
+        Ok(props) => props,
+        Err(e) => {
+            println!("  MD diverged: {e}");
+            return;
+        }
+    };
     println!(
         "  MD (27 molecules, {} fs production):",
         props.production_fs
